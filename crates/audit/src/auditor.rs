@@ -220,6 +220,20 @@ impl Auditor {
         self.product_options
     }
 
+    /// Records the decision procedure for `(a, b)` runs over. Under
+    /// product priors that is the pair's support
+    /// ([`epi_solver::pipeline::support`]): the pipeline decides stages
+    /// 2–6 on the restriction to it. The other assumptions run on the full
+    /// schema.
+    pub fn support_dims(&self, cube: &Cube, a: &WorldSet, b: &WorldSet) -> usize {
+        match self.assumption {
+            PriorAssumption::Product => {
+                epi_solver::pipeline::support(cube, a, b).count_ones() as usize
+            }
+            PriorAssumption::Unrestricted | PriorAssumption::LogSupermodular => cube.dims(),
+        }
+    }
+
     /// Decides safety of disclosing `b` against audited set `a`.
     ///
     /// This is the reusable per-disclosure entry point: both sets are

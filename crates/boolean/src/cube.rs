@@ -199,10 +199,34 @@ impl Cube {
     /// Coordinate `i` is *critical* for `A` (Miklau–Suciu, Theorem 5.7 /
     /// the "critical records" of \[21\]) iff flipping it can change
     /// membership: `∃ ω: [ω ∈ A] ≠ [ω ⊕ eᵢ ∈ A]`.
+    ///
+    /// Runs on the bitset's 64-bit blocks: coordinates below 6 pair worlds
+    /// inside a block (a shift by `2ⁱ` and a mask of the worlds with bit
+    /// `i` clear), higher ones pair whole blocks.
     pub fn is_critical(&self, a: &WorldSet, i: usize) -> bool {
+        /// Per in-block coordinate: the worlds of a block with that bit clear.
+        const LOW_HALF: [u64; 6] = [
+            0x5555_5555_5555_5555,
+            0x3333_3333_3333_3333,
+            0x0F0F_0F0F_0F0F_0F0F,
+            0x00FF_00FF_00FF_00FF,
+            0x0000_FFFF_0000_FFFF,
+            0x0000_0000_FFFF_FFFF,
+        ];
         assert!(i < self.n);
-        let bit = 1u32 << i;
-        (0..self.size() as u32).any(|w| a.contains(WorldId(w)) != a.contains(WorldId(w ^ bit)))
+        assert_eq!(a.universe_size(), self.size(), "set not over this cube");
+        let blocks = a.blocks();
+        if i < LOW_HALF.len() {
+            // Padding bits past 2ⁿ are zero and only pair with each other.
+            blocks
+                .iter()
+                .any(|&x| (x ^ (x >> (1 << i))) & LOW_HALF[i] != 0)
+        } else {
+            let stride = 1 << (i - LOW_HALF.len());
+            (0..blocks.len())
+                .filter(|j| j & stride == 0)
+                .any(|j| blocks[j] != blocks[j | stride])
+        }
     }
 
     /// The set of critical coordinates of `A`, as a bitmask.
@@ -210,6 +234,35 @@ impl Cube {
         (0..self.n)
             .filter(|&i| self.is_critical(a, i))
             .fold(0u32, |m, i| m | (1 << i))
+    }
+
+    /// The restriction of `A` to the coordinates in `coords`: the set over
+    /// `{0,1}^|coords|` whose world `v` is in it iff `A` holds at `v`'s bits
+    /// spread onto `coords` in increasing order (the others clear). When
+    /// no coordinate outside `coords` is critical for `A`, the values off
+    /// `coords` are irrelevant and the restriction loses nothing: `A` is
+    /// the cylinder over it.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `coords` is a non-empty subset of this cube's
+    /// coordinates.
+    pub fn restrict(&self, a: &WorldSet, coords: u32) -> WorldSet {
+        assert!(
+            coords != 0 && coords & !self.full_mask() == 0,
+            "coordinates {coords:b} not a non-empty subset of the cube"
+        );
+        let positions: Vec<u32> = (0..self.n as u32)
+            .filter(|i| coords >> i & 1 == 1)
+            .collect();
+        Cube::new(positions.len()).set_from_predicate(|v| {
+            let w = positions
+                .iter()
+                .enumerate()
+                .filter(|&(bit, _)| v >> bit & 1 == 1)
+                .fold(0u32, |w, (_, &pos)| w | 1 << pos);
+            a.contains(WorldId(w))
+        })
     }
 
     /// Iterates over all world bitmasks.
@@ -227,6 +280,7 @@ impl Cube {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn lattice_ops() {
@@ -296,6 +350,51 @@ mod tests {
         // Parity depends on every coordinate.
         let parity = c.set_from_predicate(|w| w.count_ones() % 2 == 0);
         assert_eq!(c.critical_coords(&parity), 0b111);
+    }
+
+    #[test]
+    fn blockwise_criticality_matches_the_definition() {
+        // n = 1..9 crosses every in-block shift and the block-pair path.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+        for n in 1..=9 {
+            let c = Cube::new(n);
+            for density in [0.0, 0.05, 0.5, 1.0] {
+                let a = c.set_from_predicate(|_| rng.gen_bool(density));
+                for i in 0..n {
+                    let naive = c
+                        .worlds()
+                        .any(|w| a.contains(WorldId(w)) != a.contains(WorldId(w ^ 1 << i)));
+                    assert_eq!(c.is_critical(&a, i), naive, "n={n} i={i} A={a:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn restriction_to_the_critical_coordinates_is_lossless() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+        for n in 2..=9 {
+            let c = Cube::new(n);
+            for _ in 0..20 {
+                // A cylinder over a random coordinate subset.
+                let coords = rng.gen_range(1..=c.full_mask());
+                let table: Vec<bool> = (0..1u32 << coords.count_ones())
+                    .map(|_| rng.gen())
+                    .collect();
+                let small = Cube::new(coords.count_ones() as usize);
+                let base = small.set_from_predicate(|v| table[v as usize]);
+                let a = c.set_from_predicate(|w| {
+                    let v = (0..n)
+                        .filter(|&i| coords >> i & 1 == 1)
+                        .enumerate()
+                        .fold(0u32, |v, (bit, i)| v | (w >> i & 1) << bit);
+                    table[v as usize]
+                });
+                assert_eq!(c.restrict(&a, coords), base);
+                assert_eq!(c.critical_coords(&a) & !coords, 0);
+                assert_eq!(c.restrict(&a, c.full_mask()), a);
+            }
+        }
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //! (`∩`, `∪`, `⊆`, complements, cardinalities) runs at memory bandwidth.
 
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// An index identifying one world `ω ∈ Ω`.
 ///
@@ -57,12 +58,32 @@ impl fmt::Display for WorldId {
 
 const BLOCK_BITS: usize = 64;
 
+/// Blocks a set stores inline, without a heap allocation: universes of
+/// up to `4 · 64 = 256` worlds, i.e. cubes of up to eight records — the
+/// common schema width, where every compile, complement and cache-key
+/// clone would otherwise allocate.
+const INLINE_BLOCKS: usize = 4;
+
+/// The bitset's storage. Blocks past the universe's block count (inline
+/// sets only) are always zero and never observed: every accessor goes
+/// through [`WorldSet::blocks`].
+#[derive(Clone)]
+enum Blocks {
+    Inline([u64; INLINE_BLOCKS]),
+    Heap(Box<[u64]>),
+}
+
 /// A subset of a finite universe `Ω = {ω₀, …, ω_{n−1}}`, stored as a dense
 /// bitset.
 ///
 /// All binary operations require both operands to share the same universe
 /// size and panic otherwise — mixing universes is always a logic error in
 /// this domain (a property of one database schema applied to another).
+///
+/// Sets over at most 256 worlds keep their blocks inline; larger ones on
+/// the heap. The representation is invisible: equality, hashing and
+/// [`WorldSet::blocks`] see only the universe size and the canonical
+/// blocks.
 ///
 /// # Examples
 ///
@@ -76,27 +97,46 @@ const BLOCK_BITS: usize = 64;
 /// assert!(a.union(&b).contains(WorldId(4)));
 /// assert!(!a.is_subset(&b));
 /// ```
-#[derive(Clone, PartialEq, Eq, Hash)]
+#[derive(Clone)]
 pub struct WorldSet {
     universe: usize,
-    blocks: Vec<u64>,
+    blocks: Blocks,
+}
+
+impl PartialEq for WorldSet {
+    fn eq(&self, other: &WorldSet) -> bool {
+        self.universe == other.universe && self.blocks() == other.blocks()
+    }
+}
+
+impl Eq for WorldSet {}
+
+impl Hash for WorldSet {
+    /// Hashes exactly as the `(universe, Vec<u64>)` pair did, so hash-keyed
+    /// state (verdict caches, dedup sets) is unchanged by the inline
+    /// representation.
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.universe.hash(state);
+        self.blocks().hash(state);
+    }
 }
 
 impl WorldSet {
     /// The empty subset of a universe with `universe` worlds.
     pub fn empty(universe: usize) -> WorldSet {
-        WorldSet {
-            universe,
-            blocks: vec![0; universe.div_ceil(BLOCK_BITS)],
-        }
+        let count = universe.div_ceil(BLOCK_BITS);
+        let blocks = if count <= INLINE_BLOCKS {
+            Blocks::Inline([0; INLINE_BLOCKS])
+        } else {
+            Blocks::Heap(vec![0; count].into_boxed_slice())
+        };
+        WorldSet { universe, blocks }
     }
 
     /// The full universe `Ω` of the given size.
     pub fn full(universe: usize) -> WorldSet {
         let mut s = WorldSet::empty(universe);
-        for b in &mut s.blocks {
-            *b = u64::MAX;
-        }
+        s.blocks_mut().fill(u64::MAX);
         s.clear_padding();
         s
     }
@@ -133,10 +173,34 @@ impl WorldSet {
         s
     }
 
+    fn blocks_mut(&mut self) -> &mut [u64] {
+        let count = self.universe.div_ceil(BLOCK_BITS);
+        match &mut self.blocks {
+            Blocks::Inline(inline) => &mut inline[..count],
+            Blocks::Heap(heap) => heap,
+        }
+    }
+
+    /// The set whose blocks are `f` applied blockwise to `self`'s and
+    /// `other`'s.
+    fn zip_with(&self, other: &WorldSet, f: impl Fn(u64, u64) -> u64) -> WorldSet {
+        self.assert_same_universe(other);
+        let mut out = WorldSet::empty(self.universe);
+        for ((o, a), b) in out
+            .blocks_mut()
+            .iter_mut()
+            .zip(self.blocks())
+            .zip(other.blocks())
+        {
+            *o = f(*a, *b);
+        }
+        out
+    }
+
     fn clear_padding(&mut self) {
         let tail = self.universe % BLOCK_BITS;
         if tail != 0 {
-            if let Some(last) = self.blocks.last_mut() {
+            if let Some(last) = self.blocks_mut().last_mut() {
                 *last &= (1u64 << tail) - 1;
             }
         }
@@ -160,7 +224,10 @@ impl WorldSet {
     /// blocks are a canonical encoding of the set — what the wire format
     /// and persistence layers serialize and checksum.
     pub fn blocks(&self) -> &[u64] {
-        &self.blocks
+        match &self.blocks {
+            Blocks::Inline(inline) => &inline[..self.universe.div_ceil(BLOCK_BITS)],
+            Blocks::Heap(heap) => heap,
+        }
     }
 
     /// Rebuilds a set from raw blocks, the inverse of
@@ -171,20 +238,30 @@ impl WorldSet {
         if blocks.len() != universe.div_ceil(BLOCK_BITS) {
             return None;
         }
-        let candidate = WorldSet { universe, blocks };
-        let mut canonical = candidate.clone();
-        canonical.clear_padding();
-        (canonical == candidate).then_some(candidate)
+        let tail = universe % BLOCK_BITS;
+        if tail != 0 && blocks.last().is_some_and(|&last| last >> tail != 0) {
+            return None;
+        }
+        if blocks.len() <= INLINE_BLOCKS {
+            let mut s = WorldSet::empty(universe);
+            s.blocks_mut().copy_from_slice(&blocks);
+            Some(s)
+        } else {
+            Some(WorldSet {
+                universe,
+                blocks: Blocks::Heap(blocks.into_boxed_slice()),
+            })
+        }
     }
 
     /// Number of worlds in this set.
     pub fn len(&self) -> usize {
-        self.blocks.iter().map(|b| b.count_ones() as usize).sum()
+        self.blocks().iter().map(|b| b.count_ones() as usize).sum()
     }
 
     /// `true` iff the set has no elements.
     pub fn is_empty(&self) -> bool {
-        self.blocks.iter().all(|&b| b == 0)
+        self.blocks().iter().all(|&b| b == 0)
     }
 
     /// `true` iff the set equals the whole universe.
@@ -205,7 +282,7 @@ impl WorldSet {
             i,
             self.universe
         );
-        self.blocks[i / BLOCK_BITS] >> (i % BLOCK_BITS) & 1 == 1
+        self.blocks()[i / BLOCK_BITS] >> (i % BLOCK_BITS) & 1 == 1
     }
 
     /// Inserts a world; returns `true` if it was newly added.
@@ -217,7 +294,7 @@ impl WorldSet {
             i,
             self.universe
         );
-        let block = &mut self.blocks[i / BLOCK_BITS];
+        let block = &mut self.blocks_mut()[i / BLOCK_BITS];
         let mask = 1u64 << (i % BLOCK_BITS);
         let fresh = *block & mask == 0;
         *block |= mask;
@@ -233,7 +310,7 @@ impl WorldSet {
             i,
             self.universe
         );
-        let block = &mut self.blocks[i / BLOCK_BITS];
+        let block = &mut self.blocks_mut()[i / BLOCK_BITS];
         let mask = 1u64 << (i % BLOCK_BITS);
         let present = *block & mask != 0;
         *block &= !mask;
@@ -242,52 +319,25 @@ impl WorldSet {
 
     /// `self ∩ other`.
     pub fn intersection(&self, other: &WorldSet) -> WorldSet {
-        self.assert_same_universe(other);
-        WorldSet {
-            universe: self.universe,
-            blocks: self
-                .blocks
-                .iter()
-                .zip(&other.blocks)
-                .map(|(a, b)| a & b)
-                .collect(),
-        }
+        self.zip_with(other, |a, b| a & b)
     }
 
     /// `self ∪ other`.
     pub fn union(&self, other: &WorldSet) -> WorldSet {
-        self.assert_same_universe(other);
-        WorldSet {
-            universe: self.universe,
-            blocks: self
-                .blocks
-                .iter()
-                .zip(&other.blocks)
-                .map(|(a, b)| a | b)
-                .collect(),
-        }
+        self.zip_with(other, |a, b| a | b)
     }
 
     /// `self − other`.
     pub fn difference(&self, other: &WorldSet) -> WorldSet {
-        self.assert_same_universe(other);
-        WorldSet {
-            universe: self.universe,
-            blocks: self
-                .blocks
-                .iter()
-                .zip(&other.blocks)
-                .map(|(a, b)| a & !b)
-                .collect(),
-        }
+        self.zip_with(other, |a, b| a & !b)
     }
 
     /// `Ω − self`.
     pub fn complement(&self) -> WorldSet {
-        let mut s = WorldSet {
-            universe: self.universe,
-            blocks: self.blocks.iter().map(|b| !b).collect(),
-        };
+        let mut s = self.clone();
+        for b in s.blocks_mut() {
+            *b = !*b;
+        }
         s.clear_padding();
         s
     }
@@ -295,7 +345,7 @@ impl WorldSet {
     /// In-place `self ∩= other`.
     pub fn intersect_with(&mut self, other: &WorldSet) {
         self.assert_same_universe(other);
-        for (a, b) in self.blocks.iter_mut().zip(&other.blocks) {
+        for (a, b) in self.blocks_mut().iter_mut().zip(other.blocks()) {
             *a &= b;
         }
     }
@@ -303,7 +353,7 @@ impl WorldSet {
     /// In-place `self ∪= other`.
     pub fn union_with(&mut self, other: &WorldSet) {
         self.assert_same_universe(other);
-        for (a, b) in self.blocks.iter_mut().zip(&other.blocks) {
+        for (a, b) in self.blocks_mut().iter_mut().zip(other.blocks()) {
             *a |= b;
         }
     }
@@ -311,9 +361,9 @@ impl WorldSet {
     /// `true` iff `self ⊆ other`.
     pub fn is_subset(&self, other: &WorldSet) -> bool {
         self.assert_same_universe(other);
-        self.blocks
+        self.blocks()
             .iter()
-            .zip(&other.blocks)
+            .zip(other.blocks())
             .all(|(a, b)| a & !b == 0)
     }
 
@@ -325,9 +375,9 @@ impl WorldSet {
     /// `true` iff `self ∩ other = ∅`, without allocating.
     pub fn is_disjoint(&self, other: &WorldSet) -> bool {
         self.assert_same_universe(other);
-        self.blocks
+        self.blocks()
             .iter()
-            .zip(&other.blocks)
+            .zip(other.blocks())
             .all(|(a, b)| a & b == 0)
     }
 
@@ -339,19 +389,20 @@ impl WorldSet {
     /// `|self ∩ other|` without allocating.
     pub fn intersection_len(&self, other: &WorldSet) -> usize {
         self.assert_same_universe(other);
-        self.blocks
+        self.blocks()
             .iter()
-            .zip(&other.blocks)
+            .zip(other.blocks())
             .map(|(a, b)| (a & b).count_ones() as usize)
             .sum()
     }
 
     /// Iterates over the members in increasing index order.
     pub fn iter(&self) -> WorldSetIter<'_> {
+        let blocks = self.blocks();
         WorldSetIter {
-            set: self,
+            blocks,
             block_idx: 0,
-            current: self.blocks.first().copied().unwrap_or(0),
+            current: blocks.first().copied().unwrap_or(0),
         }
     }
 
@@ -381,7 +432,7 @@ impl fmt::Debug for WorldSet {
 
 /// Iterator over the members of a [`WorldSet`].
 pub struct WorldSetIter<'a> {
-    set: &'a WorldSet,
+    blocks: &'a [u64],
     block_idx: usize,
     current: u64,
 }
@@ -397,10 +448,10 @@ impl Iterator for WorldSetIter<'_> {
                 return Some(WorldId((self.block_idx * BLOCK_BITS + bit) as u32));
             }
             self.block_idx += 1;
-            if self.block_idx >= self.set.blocks.len() {
+            if self.block_idx >= self.blocks.len() {
                 return None;
             }
-            self.current = self.set.blocks[self.block_idx];
+            self.current = self.blocks[self.block_idx];
         }
     }
 }
@@ -534,6 +585,158 @@ mod tests {
         for s in all_subsets(4) {
             assert!(s.len() <= 4);
             assert_eq!(s.universe_size(), 4);
+        }
+    }
+
+    /// The `(universe, Vec<u64>)` layout `WorldSet` had before small sets
+    /// went inline, with the set algebra done by hand on the vector: the
+    /// reference model the representation tests check against.
+    #[derive(Clone, Debug, PartialEq, Eq, Hash)]
+    struct VecModel {
+        universe: usize,
+        blocks: Vec<u64>,
+    }
+
+    impl VecModel {
+        fn of(s: &WorldSet) -> VecModel {
+            VecModel {
+                universe: s.universe_size(),
+                blocks: s.blocks().to_vec(),
+            }
+        }
+
+        /// Random canonical blocks for `universe` (padding cleared).
+        fn from_raw(universe: usize, raw: &[u64]) -> VecModel {
+            let mut blocks = raw[..universe.div_ceil(BLOCK_BITS)].to_vec();
+            if !universe.is_multiple_of(BLOCK_BITS) {
+                *blocks.last_mut().unwrap() &= (1u64 << (universe % BLOCK_BITS)) - 1;
+            }
+            VecModel { universe, blocks }
+        }
+
+        fn set(&self) -> WorldSet {
+            WorldSet::from_blocks(self.universe, self.blocks.clone()).expect("canonical blocks")
+        }
+
+        fn zip(&self, other: &VecModel, f: impl Fn(u64, u64) -> u64) -> VecModel {
+            VecModel {
+                universe: self.universe,
+                blocks: self
+                    .blocks
+                    .iter()
+                    .zip(&other.blocks)
+                    .map(|(a, b)| f(*a, *b))
+                    .collect(),
+            }
+        }
+
+        fn count(&self) -> usize {
+            self.blocks.iter().map(|b| b.count_ones() as usize).sum()
+        }
+
+        fn bit(&self, i: usize) -> bool {
+            self.blocks[i / BLOCK_BITS] >> (i % BLOCK_BITS) & 1 == 1
+        }
+    }
+
+    fn hash_of<T: Hash>(t: &T) -> u64 {
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        t.hash(&mut h);
+        h.finish()
+    }
+
+    /// Universes either side of the inline/heap boundary (256 worlds).
+    const BOUNDARY_UNIVERSES: [usize; 4] = [255, 256, 257, 512];
+
+    #[test]
+    fn representation_boundaries_round_trip_and_hash_like_vec() {
+        for universe in BOUNDARY_UNIVERSES {
+            let s =
+                WorldSet::from_predicate(universe, |w| w.0 % 3 == 0 || w.index() == universe - 1);
+            assert_eq!(s.blocks().len(), universe.div_ceil(BLOCK_BITS));
+            let back = WorldSet::from_blocks(universe, s.blocks().to_vec()).expect("round trip");
+            assert_eq!(back, s);
+            assert_eq!(back.blocks(), s.blocks());
+            assert_eq!(
+                hash_of(&s),
+                hash_of(&VecModel::of(&s)),
+                "universe {universe}"
+            );
+            assert_eq!(hash_of(&back), hash_of(&s));
+            // Equal blocks under different universes stay distinct sets.
+            let empty = WorldSet::empty(universe);
+            assert_ne!(empty, WorldSet::empty(universe + 1));
+            assert_eq!(hash_of(&empty), hash_of(&VecModel::of(&empty)));
+
+            // Complement clears the padding past the universe, so the
+            // blocks stay canonical and `from_blocks` accepts them.
+            let c = s.complement();
+            assert_eq!(c.len(), universe - s.len());
+            if !universe.is_multiple_of(BLOCK_BITS) {
+                assert_eq!(c.blocks().last().unwrap() >> (universe % BLOCK_BITS), 0);
+            }
+            assert_eq!(
+                WorldSet::from_blocks(universe, c.blocks().to_vec()),
+                Some(c)
+            );
+            assert_eq!(WorldSet::full(universe).complement(), empty);
+            assert_eq!(WorldSet::full(universe).len(), universe);
+
+            // Corrupt encodings are rejected at every width.
+            let mut short = s.blocks().to_vec();
+            short.pop();
+            assert_eq!(WorldSet::from_blocks(universe, short), None);
+            if !universe.is_multiple_of(BLOCK_BITS) {
+                let mut padded = s.blocks().to_vec();
+                *padded.last_mut().unwrap() |= 1 << (universe % BLOCK_BITS);
+                assert_eq!(WorldSet::from_blocks(universe, padded), None);
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn prop_set_algebra_matches_vec_model(
+            pick in 0..BOUNDARY_UNIVERSES.len(),
+            raw_a in proptest::collection::vec(any::<u64>(), 8),
+            raw_b in proptest::collection::vec(any::<u64>(), 8),
+            world in any::<u32>(),
+        ) {
+            let universe = BOUNDARY_UNIVERSES[pick];
+            let (ma, mb) = (VecModel::from_raw(universe, &raw_a), VecModel::from_raw(universe, &raw_b));
+            let (a, b) = (ma.set(), mb.set());
+            prop_assert_eq!(VecModel::of(&a.intersection(&b)), ma.zip(&mb, |x, y| x & y));
+            prop_assert_eq!(VecModel::of(&a.union(&b)), ma.zip(&mb, |x, y| x | y));
+            prop_assert_eq!(VecModel::of(&a.difference(&b)), ma.zip(&mb, |x, y| x & !y));
+            let full = VecModel::of(&WorldSet::full(universe));
+            prop_assert_eq!(VecModel::of(&a.complement()), ma.zip(&full, |x, f| !x & f));
+            let mut inter = a.clone();
+            inter.intersect_with(&b);
+            prop_assert_eq!(VecModel::of(&inter), ma.zip(&mb, |x, y| x & y));
+            let mut uni = a.clone();
+            uni.union_with(&b);
+            prop_assert_eq!(VecModel::of(&uni), ma.zip(&mb, |x, y| x | y));
+            prop_assert_eq!(a.len(), ma.count());
+            prop_assert_eq!(a.is_empty(), ma.count() == 0);
+            prop_assert_eq!(a.is_full(), ma.count() == universe);
+            prop_assert_eq!(a.is_subset(&b), ma.zip(&mb, |x, y| x & !y).count() == 0);
+            prop_assert_eq!(a.is_disjoint(&b), ma.zip(&mb, |x, y| x & y).count() == 0);
+            prop_assert_eq!(a.intersects(&b), !a.is_disjoint(&b));
+            prop_assert_eq!(a.intersection_len(&b), ma.zip(&mb, |x, y| x & y).count());
+            prop_assert_eq!(a == b, ma == mb);
+            prop_assert_eq!(hash_of(&a), hash_of(&ma));
+            let members: Vec<usize> = a.iter().map(WorldId::index).collect();
+            let model_members: Vec<usize> = (0..universe).filter(|&i| ma.bit(i)).collect();
+            prop_assert_eq!(members, model_members);
+
+            let i = world as usize % universe;
+            let mut s = a.clone();
+            prop_assert_eq!(s.contains(WorldId(i as u32)), ma.bit(i));
+            prop_assert_eq!(s.insert(WorldId(i as u32)), !ma.bit(i));
+            prop_assert!(s.contains(WorldId(i as u32)));
+            prop_assert!(s.remove(WorldId(i as u32)));
+            prop_assert!(!s.contains(WorldId(i as u32)));
+            prop_assert_eq!(s.len(), ma.count() - usize::from(ma.bit(i)));
         }
     }
 

@@ -771,7 +771,7 @@ mod tests {
                     label: "worker.compute".to_owned(),
                     start_micros: 350,
                     duration_micros: 9000,
-                    detail: Some("finding=safe".to_owned()),
+                    detail: Some("finding=safe support=3/8".to_owned()),
                 },
             ]),
             Response::Trace(Vec::new()),

@@ -629,7 +629,14 @@ impl DecisionPool {
                 None,
             );
         }
-        compute_span.detail(format!("finding={}", decision.finding));
+        compute_span.detail(format!(
+            "finding={} support={}/{}",
+            decision.finding,
+            shared
+                .auditor
+                .support_dims(&shared.cube, &key.audit, &key.disclosed),
+            shared.cube.dims()
+        ));
         shared.metrics.record_decision(decision.stage, micros);
         if decision.boxes_processed > 0 {
             shared

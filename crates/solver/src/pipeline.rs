@@ -13,8 +13,9 @@
 //! 6. **branch-and-bound** (Section 6.1 substitute) — complete, with exact
 //!    rational refutation witnesses and ε-margin safety certificates.
 //!
-//! The pipeline records which stage decided, so experiments E7/E8 can
-//! report stage hit-rates.
+//! Stages 2–6 run on the pair's support: the records `A` or `B` depends
+//! on (see [`support`] and DESIGN §5.1). The pipeline records which stage
+//! decided, so experiments E7/E8 can report stage hit-rates.
 
 use crate::product::{decide_product_safety_deadline, ProductSolverOptions, ProductWitness};
 use crate::verdict::{SafeEvidence, UndecidedReason, Verdict};
@@ -99,6 +100,11 @@ pub struct PipelineDecision {
     /// non-negative). Computed once per decision from world counts; see
     /// `epi_core::risk` for the normalized score derived from it.
     pub uniform_margin: Rational,
+    /// Records the pair's gap depends on, `|crit(A) ∪ crit(B)|` (see
+    /// [`support`]): the width stages 2–6 ran at. Stage 1 always runs on
+    /// the full sets; a pair it decides may have support 0 (`A`, `B`
+    /// each `∅` or `Ω`).
+    pub support_dims: usize,
 }
 
 impl PipelineDecision {
@@ -148,10 +154,27 @@ pub fn decide_product_pipeline_deadline(
     decide_product_pipeline_observed(cube, a, b, bnb_options, deadline, &mut |_, _| {})
 }
 
+/// The pair's support `crit(A) ∪ crit(B)` as a coordinate mask: the
+/// records the gap polynomial `P[A]·P[B] − P[AB]` depends on. Both sets
+/// are cylinders over it, so stages 2–6 decide the pair on its
+/// restriction to these records ([`Cube::restrict`]).
+pub fn support(cube: &Cube, a: &WorldSet, b: &WorldSet) -> u32 {
+    cube.critical_coords(a) | cube.critical_coords(b)
+}
+
 /// [`decide_product_pipeline_deadline`] reporting each attempted stage
 /// and its wall time to `observe`. Observation is a pure side channel:
 /// the decision and its witnesses are identical with any observer, so
 /// byte-for-byte determinism of traced runs is preserved.
+///
+/// After the unconditional stage, a pair whose [`support`] is narrower
+/// than the cube is decided on its restriction to the support, and an
+/// `Unsafe` witness is lifted back with `pᵢ = 1` on every other record.
+/// The lift is exact (the gap ignores those records) and reproduces the
+/// full-width first failing box of Proposition 5.10; every criterion
+/// scales by the same factor on both sides, so the deciding stage is the
+/// one the full-width cascade would report. The uniform margin stays on
+/// the full sets.
 pub fn decide_product_pipeline_observed(
     cube: &Cube,
     a: &WorldSet,
@@ -166,82 +189,112 @@ pub fn decide_product_pipeline_observed(
         let m = epi_core::risk::UniformMargin::from_sets(a, b);
         Rational::new(m.gap_numerator(), m.gap_denominator() as i128)
     };
-    // Times one stage attempt and reports it whether or not it decided.
-    let timed = |stage: Stage, observe: &mut dyn FnMut(Stage, u64), f: &mut dyn FnMut() -> bool| {
-        let started = Instant::now();
-        let decided = f();
-        observe(
-            stage,
-            started.elapsed().as_micros().min(u128::from(u64::MAX)) as u64,
+    let support = support(cube, a, b);
+    let support_dims = support.count_ones() as usize;
+    let started = Instant::now();
+    let unconditional = unrestricted::safe_unrestricted(a, b);
+    observe(Stage::Unconditional, elapsed_micros(started));
+    let mut decision = if unconditional {
+        decided(
+            Verdict::Safe(SafeEvidence::Unconditional),
+            Stage::Unconditional,
+        )
+    } else if support_dims < cube.dims() {
+        // Stage 1 failed, so neither set is ∅ or Ω and the support is
+        // non-empty.
+        let mut d = decide_criteria_and_search(
+            &Cube::new(support_dims),
+            &cube.restrict(a, support),
+            &cube.restrict(b, support),
+            bnb_options,
+            deadline,
+            observe,
         );
-        decided
+        if let Verdict::Unsafe(w) = &mut d.verdict {
+            let mut projected = w.probs.iter();
+            w.probs = (0..cube.dims())
+                .map(|i| match support >> i & 1 {
+                    1 => *projected
+                        .next()
+                        .expect("one probability per support record"),
+                    _ => Rational::ONE,
+                })
+                .collect();
+        }
+        d
+    } else {
+        decide_criteria_and_search(cube, a, b, bnb_options, deadline, observe)
     };
-    if timed(Stage::Unconditional, observe, &mut || {
-        unrestricted::safe_unrestricted(a, b)
-    }) {
-        return PipelineDecision {
-            verdict: Verdict::Safe(SafeEvidence::Unconditional),
-            stage: Stage::Unconditional,
-            boxes_processed: 0,
-            waves: 0,
-            undecided: None,
-            uniform_margin,
-        };
+    decision.uniform_margin = uniform_margin;
+    decision.support_dims = support_dims;
+    decision
+}
+
+/// Microseconds since `started`, saturating.
+fn elapsed_micros(started: Instant) -> u64 {
+    started.elapsed().as_micros().min(u128::from(u64::MAX)) as u64
+}
+
+/// A decision without solver work. The caller fills in the margin and
+/// support, which belong to the full-width pair.
+fn decided(verdict: Verdict<ProductWitness>, stage: Stage) -> PipelineDecision {
+    PipelineDecision {
+        verdict,
+        stage,
+        boxes_processed: 0,
+        waves: 0,
+        undecided: None,
+        uniform_margin: Rational::new(0, 1),
+        support_dims: 0,
     }
-    if timed(Stage::MiklauSuciu, observe, &mut || {
-        miklau_suciu::safe_miklau_suciu(cube, a, b)
-    }) {
-        return PipelineDecision {
-            verdict: Verdict::Safe(SafeEvidence::Criterion("Miklau–Suciu")),
-            stage: Stage::MiklauSuciu,
-            boxes_processed: 0,
-            waves: 0,
-            undecided: None,
-            uniform_margin,
-        };
-    }
-    if timed(Stage::Monotonicity, observe, &mut || {
-        monotonicity::safe_monotone(cube, a, b)
-    }) {
-        return PipelineDecision {
-            verdict: Verdict::Safe(SafeEvidence::Criterion("monotonicity")),
-            stage: Stage::Monotonicity,
-            boxes_processed: 0,
-            waves: 0,
-            undecided: None,
-            uniform_margin,
-        };
-    }
-    if timed(Stage::Cancellation, observe, &mut || {
-        cancellation::cancellation(cube, a, b)
-    }) {
-        return PipelineDecision {
-            verdict: Verdict::Safe(SafeEvidence::Criterion("cancellation")),
-            stage: Stage::Cancellation,
-            boxes_processed: 0,
-            waves: 0,
-            undecided: None,
-            uniform_margin,
-        };
+}
+
+/// Stages 2–6 on one pair, each observed once.
+fn decide_criteria_and_search(
+    cube: &Cube,
+    a: &WorldSet,
+    b: &WorldSet,
+    bnb_options: ProductSolverOptions,
+    deadline: &Deadline,
+    observe: StageObserver<'_>,
+) -> PipelineDecision {
+    type Criterion = fn(&Cube, &WorldSet, &WorldSet) -> bool;
+    let criteria: [(Stage, &str, Criterion); 3] = [
+        (
+            Stage::MiklauSuciu,
+            "Miklau–Suciu",
+            miklau_suciu::safe_miklau_suciu,
+        ),
+        (
+            Stage::Monotonicity,
+            "monotonicity",
+            monotonicity::safe_monotone,
+        ),
+        (
+            Stage::Cancellation,
+            "cancellation",
+            cancellation::cancellation,
+        ),
+    ];
+    for (stage, name, criterion) in criteria {
+        let started = Instant::now();
+        let safe = criterion(cube, a, b);
+        observe(stage, elapsed_micros(started));
+        if safe {
+            return decided(Verdict::Safe(SafeEvidence::Criterion(name)), stage);
+        }
     }
     // Everything past this point can be expensive; honor the deadline
     // before starting each tail stage.
     if let Err(reason) = deadline.check() {
         return PipelineDecision {
-            verdict: Verdict::Unknown,
-            stage: Stage::BranchAndBound,
-            boxes_processed: 0,
-            waves: 0,
             undecided: Some(reason.into()),
-            uniform_margin,
+            ..decided(Verdict::Unknown, Stage::BranchAndBound)
         };
     }
     let started = Instant::now();
     let refutation = necessary::refute_product_by_boxes(cube, a, b);
-    observe(
-        Stage::BoxNecessary,
-        started.elapsed().as_micros().min(u128::from(u64::MAX)) as u64,
-    );
+    observe(Stage::BoxNecessary, elapsed_micros(started));
     if let Some(p) = refutation {
         // Corner priors are rational by construction; rebuild exactly.
         let probs: Vec<Rational> = p
@@ -249,38 +302,24 @@ pub fn decide_product_pipeline_observed(
             .iter()
             .map(|&x| Rational::from_f64_exact(x).expect("corner prior is dyadic"))
             .collect();
-        let gap = exact_gap(cube, a, b, &probs);
+        let gap = epi_boolean::RationalProductDist::new(probs.clone())
+            .expect("valid probs")
+            .safety_gap(a, b);
         debug_assert!(gap.is_negative());
-        return PipelineDecision {
-            verdict: Verdict::Unsafe(ProductWitness { probs, gap }),
-            stage: Stage::BoxNecessary,
-            boxes_processed: 0,
-            waves: 0,
-            undecided: None,
-            uniform_margin,
-        };
+        return decided(
+            Verdict::Unsafe(ProductWitness { probs, gap }),
+            Stage::BoxNecessary,
+        );
     }
     let started = Instant::now();
     let (verdict, stats) = decide_product_safety_deadline(cube, a, b, bnb_options, deadline);
-    observe(
-        Stage::BranchAndBound,
-        started.elapsed().as_micros().min(u128::from(u64::MAX)) as u64,
-    );
+    observe(Stage::BranchAndBound, elapsed_micros(started));
     PipelineDecision {
-        verdict,
-        stage: Stage::BranchAndBound,
         boxes_processed: stats.boxes_processed,
         waves: stats.waves,
         undecided: stats.undecided,
-        uniform_margin,
+        ..decided(verdict, Stage::BranchAndBound)
     }
-}
-
-/// Exact `P[A]·P[B] − P[AB]` under a rational product prior.
-fn exact_gap(cube: &Cube, a: &WorldSet, b: &WorldSet, probs: &[Rational]) -> Rational {
-    let p = epi_boolean::RationalProductDist::new(probs.to_vec()).expect("valid probs");
-    let _ = cube;
-    p.safety_gap(a, b)
 }
 
 #[cfg(test)]
@@ -394,6 +433,58 @@ mod tests {
         );
         assert!(d.verdict.is_unknown());
         assert_eq!(d.undecided, Some(UndecidedReason::Cancelled));
+    }
+
+    #[test]
+    fn narrow_support_is_decided_once_on_the_projection() {
+        // The Remark 5.12 pair on records 1, 3, 4 of six: every stage is
+        // observed exactly once, at the support's width.
+        let cube = Cube::new(6);
+        let spread = |v: u32| (v & 1) << 1 | (v >> 1 & 1) << 3 | (v >> 2 & 1) << 4;
+        let pick = |masks: [u32; 4]| {
+            cube.set_from_predicate(|w| masks.iter().any(|&m| spread(m) == w & 0b11010))
+        };
+        let a = pick([0b011, 0b100, 0b110, 0b111]);
+        let b = pick([0b010, 0b101, 0b110, 0b111]);
+        assert_eq!(support(&cube, &a, &b), 0b11010);
+        let mut seen = Vec::new();
+        let d = decide_product_pipeline_observed(
+            &cube,
+            &a,
+            &b,
+            Default::default(),
+            &Deadline::none(),
+            &mut |stage, _| seen.push(stage),
+        );
+        assert_eq!(
+            seen,
+            [
+                Stage::Unconditional,
+                Stage::MiklauSuciu,
+                Stage::Monotonicity,
+                Stage::Cancellation,
+                Stage::BoxNecessary,
+                Stage::BranchAndBound
+            ]
+        );
+        assert_eq!(d.support_dims, 3);
+        assert!(d.verdict.is_safe(), "{:?}", d.verdict);
+
+        // A refuted pair on records 0 and 5: the witness comes back at
+        // full width with pᵢ = 1 off the support, and its gap is exact.
+        let a = cube.set_from_predicate(|w| w & 0b100001 != 0);
+        let d = decide_product_pipeline(&cube, &a, &a, Default::default());
+        assert_eq!(d.support_dims, 2);
+        let Verdict::Unsafe(w) = &d.verdict else {
+            panic!("A = B is refuted: {:?}", d.verdict)
+        };
+        assert_eq!(w.probs.len(), 6);
+        assert!(w.probs[1..5].iter().all(|&p| p == Rational::ONE));
+        let gap = epi_boolean::RationalProductDist::new(w.probs.clone())
+            .unwrap()
+            .safety_gap(&a, &a);
+        assert_eq!(gap, w.gap);
+        assert!(w.gap.is_negative());
     }
 
     #[test]

@@ -5,25 +5,35 @@
 //! (Propositions 3.8 / 6.1). The paper decides this with quantifier
 //! elimination (Basu–Pollack–Roy) in `N^{O(lg lg N)}` time; our substitute
 //! (documented in DESIGN.md) is a **branch-and-bound over the unit box**
-//! with rigorous outward-rounded interval bounds:
+//! with Bernstein-coefficient bounds:
 //!
 //! * **Unsafe** verdicts are fully rigorous: the witness is a *rational*
 //!   Bernoulli vector whose gap is evaluated in exact arithmetic and is
 //!   strictly negative.
-//! * **Safe** verdicts are rigorous up to the configured margin `ε`
-//!   (default `1e-9`): the procedure proves `gap(p) ≥ −ε` on the whole
-//!   box. A breach of advantage > ε is therefore impossible. The margin is
-//!   unavoidable for interval methods because safe instances routinely
-//!   attain `gap = 0` on faces of the box (e.g. whenever some `pᵢ` hits 0
-//!   or 1), where interval bounds approach 0 only in the limit.
+//! * **Safe** verdicts hold up to the configured margin `ε` (default
+//!   `1e-9`): the procedure bounds `gap(p) ≥ −ε` on the whole box. The
+//!   margin is unavoidable for subdivision methods because safe instances
+//!   routinely attain `gap = 0` on faces of the box (e.g. whenever some
+//!   `pᵢ` hits 0 or 1), where box bounds approach 0 only in the limit.
 //!
-//! The gap polynomial has *integer* coefficients (sums of ±1 products), so
-//! its `f64` representation is exact for every `n ≤ 20` and the interval
-//! evaluation is sound end-to-end. By default it is assembled through the
-//! dense multilinear kernel ([`epi_poly::indicator::safety_gap_pow3`]),
-//! which lands directly in the Bernstein tensor layout; the exact rational
-//! copy used to verify witnesses is built lazily, only when a violation
-//! candidate actually appears.
+//! The default Bernstein bounds are computed in plain `f64`, not with
+//! outward rounding. The gap polynomial has *integer* coefficients (sums
+//! of ±1 products), and the Bernstein conversion and de Casteljau halving
+//! only divide by 2 or 4, so every coefficient stays exact while its
+//! significand fits in 53 bits. Nothing checks that bound yet: deep
+//! subdivision of a large-magnitude gap could round silently. Only the
+//! [`BoundMethod::Interval`] ablation uses outward-rounded intervals.
+//!
+//! By default the gap is assembled through the dense multilinear kernel
+//! ([`epi_poly::indicator::safety_gap_pow3`]), which lands directly in the
+//! Bernstein tensor layout; the exact rational copy used to verify
+//! witnesses is built lazily, only when a violation candidate actually
+//! appears.
+//!
+//! This module decides at the width of the cube it is given. The
+//! production pipeline ([`crate::pipeline`]) first restricts a pair to
+//! the records it depends on and calls in at that narrower width; calling
+//! [`decide_product_safety`] directly does not project.
 //!
 //! # Parallel search
 //!

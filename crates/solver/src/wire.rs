@@ -175,6 +175,9 @@ impl Serialize for PipelineDecision {
         if !self.uniform_margin.is_zero() {
             fields.push(("uniform_margin", self.uniform_margin.to_json()));
         }
+        if self.support_dims > 0 {
+            fields.push(("support_dims", Json::from(self.support_dims)));
+        }
         Json::obj(fields)
     }
 }
@@ -191,6 +194,8 @@ impl Deserialize for PipelineDecision {
             undecided: opt_field(v, "undecided")?,
             // Absent in pre-risk reports: margins were not recorded.
             uniform_margin: opt_field(v, "uniform_margin")?.unwrap_or(Rational::new(0, 1)),
+            // Absent in pre-projection reports and for support-0 pairs.
+            support_dims: opt_field(v, "support_dims")?.unwrap_or(0),
         })
     }
 }
@@ -417,6 +422,7 @@ mod tests {
         let d = PipelineDecision::from_json(&j).unwrap();
         assert_eq!(d.boxes_processed, 0);
         assert_eq!(d.waves, 0);
+        assert_eq!(d.support_dims, 0);
         assert_eq!(d.stage, Stage::BranchAndBound);
         assert_eq!(d.undecided, None);
     }
@@ -430,6 +436,7 @@ mod tests {
             waves: 0,
             undecided: None,
             uniform_margin: Rational::new(0, 1),
+            support_dims: 0,
         };
         let rendered = decided.to_json().render();
         assert!(!rendered.contains("undecided"));
@@ -445,12 +452,14 @@ mod tests {
             waves: 5,
             undecided: Some(UndecidedReason::DeadlineExceeded),
             uniform_margin: Rational::new(-1, 16),
+            support_dims: 3,
         };
         let j = Json::parse(&timed_out.to_json().render()).unwrap();
         let back = PipelineDecision::from_json(&j).unwrap();
         assert_eq!(back.undecided, Some(UndecidedReason::DeadlineExceeded));
         assert_eq!(back.waves, 5);
         assert_eq!(back.uniform_margin, Rational::new(-1, 16));
+        assert_eq!(back.support_dims, 3);
         for reason in [
             UndecidedReason::BudgetExhausted,
             UndecidedReason::DeadlineExceeded,

@@ -6,10 +6,13 @@
 //! criterion and solver must respect these symmetries — a cheap, brutal
 //! detector of asymmetric implementation bugs.
 
+use epi_audit::{Auditor, Finding, PriorAssumption};
 use epi_boolean::criteria::{cancellation, miklau_suciu, monotonicity, necessary, supermodular};
-use epi_boolean::{generate, Cube};
+use epi_boolean::{generate, Cube, MatchVector, RationalProductDist};
 use epi_core::{WorldId, WorldSet};
-use epi_solver::{decide_product_safety, ProductSolverOptions};
+use epi_solver::{
+    decide_product_pipeline, decide_product_safety, ProductSolverOptions, Stage, Verdict,
+};
 use rand::{Rng, SeedableRng};
 
 fn permute_set(cube: &Cube, s: &WorldSet, perm: &[usize]) -> WorldSet {
@@ -168,6 +171,208 @@ fn tautologies_and_contradictions_are_universally_safe() {
         if !not_a.is_empty() {
             let v = decide_product_safety(&cube, &a, &not_a, ProductSolverOptions::default()).0;
             assert!(v.is_safe(), "disclosing ¬A cannot raise confidence in A");
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Support projection: a pair over `n` records embedded into `n + k`
+// records (a cylinder over `n` of them) is the same question. The gap
+// polynomial ignores the added records, every criterion decides the same
+// way at both widths, and the pipeline — which decides on the pair's
+// support — returns the same finding, stage and explanation, with the
+// witness lifted by `pᵢ = 1` on the added records.
+// ---------------------------------------------------------------------
+
+/// Spreads the low bits of `v` onto `positions` (increasing).
+fn deposit(v: u32, positions: &[usize]) -> u32 {
+    positions
+        .iter()
+        .enumerate()
+        .fold(0, |w, (bit, &pos)| w | (v >> bit & 1) << pos)
+}
+
+/// Gathers the bits of `w` at `positions` into the low bits.
+fn extract(w: u32, positions: &[usize]) -> u32 {
+    positions
+        .iter()
+        .enumerate()
+        .fold(0, |v, (bit, &pos)| v | (w >> pos & 1) << bit)
+}
+
+/// The cylinder over `positions` of a set over `{0,1}^positions.len()`.
+fn embed(big: &Cube, s: &WorldSet, positions: &[usize]) -> WorldSet {
+    big.set_from_predicate(|w| s.contains(WorldId(extract(w, positions))))
+}
+
+/// A small-width match vector lifted to `big`: its pattern on
+/// `positions`, the value 1 on every other record.
+fn lift_box(big: &Cube, w: MatchVector, positions: &[usize]) -> MatchVector {
+    let added = big.full_mask() & !deposit(u32::MAX, positions);
+    MatchVector::new(
+        deposit(w.stars, positions),
+        deposit(w.values, positions) | added,
+    )
+}
+
+/// The small-width explanation with its witness vector lifted: the
+/// embedded pair's explanation must read exactly like this.
+fn lift_explanation(explanation: &str, big: &Cube, positions: &[usize]) -> String {
+    let (Some(open), Some(close)) = (explanation.find('['), explanation.find(']')) else {
+        return explanation.to_owned();
+    };
+    let small: Vec<&str> = explanation[open + 1..close].split(", ").collect();
+    let mut small = small.into_iter();
+    let lifted: Vec<&str> = (0..big.dims())
+        .map(|i| match positions.contains(&i) {
+            true => small.next().expect("one probability per record"),
+            false => "1.0",
+        })
+        .collect();
+    format!(
+        "{}{}{}",
+        &explanation[..=open],
+        lifted.join(", "),
+        &explanation[close..]
+    )
+}
+
+/// Random strictly increasing positions for `n` records among `big`'s.
+fn random_positions(big: &Cube, n: usize, rng: &mut impl Rng) -> Vec<usize> {
+    let mut positions: Vec<usize> = (0..big.dims()).collect();
+    while positions.len() > n {
+        positions.remove(rng.gen_range(0..positions.len()));
+    }
+    positions
+}
+
+/// Checks one small pair against its embedding at `positions`.
+fn assert_embedding_preserves_decisions(
+    small: &Cube,
+    a: &WorldSet,
+    b: &WorldSet,
+    big: &Cube,
+    positions: &[usize],
+) {
+    let (ea, eb) = (embed(big, a, positions), embed(big, b, positions));
+    let ctx = format!(
+        "n={} → {} at {positions:?}: A={a:?} B={b:?}",
+        small.dims(),
+        big.dims()
+    );
+    assert_eq!(
+        miklau_suciu::safe_miklau_suciu(small, a, b),
+        miklau_suciu::safe_miklau_suciu(big, &ea, &eb),
+        "Miklau–Suciu, {ctx}"
+    );
+    assert_eq!(
+        monotonicity::safe_monotone(small, a, b),
+        monotonicity::safe_monotone(big, &ea, &eb),
+        "monotonicity, {ctx}"
+    );
+    assert_eq!(
+        cancellation::cancellation(small, a, b),
+        cancellation::cancellation(big, &ea, &eb),
+        "cancellation, {ctx}"
+    );
+    assert_eq!(
+        necessary::failing_box(small, a, b).map(|w| lift_box(big, w, positions)),
+        necessary::failing_box(big, &ea, &eb),
+        "first failing box, {ctx}"
+    );
+
+    let auditor = Auditor::new(PriorAssumption::Product);
+    let narrow = auditor.decide_sets(small, a, b);
+    let wide = auditor.decide_sets(big, &ea, &eb);
+    assert_eq!(narrow.finding, wide.finding, "finding, {ctx}");
+    assert_eq!(narrow.stage, wide.stage, "stage, {ctx}");
+    assert_eq!(
+        lift_explanation(&narrow.explanation, big, positions),
+        wide.explanation,
+        "explanation, {ctx}"
+    );
+
+    let pipeline = decide_product_pipeline(big, &ea, &eb, ProductSolverOptions::default());
+    let support = epi_solver::pipeline::support(small, a, b);
+    assert_eq!(
+        pipeline.support_dims,
+        support.count_ones() as usize,
+        "{ctx}"
+    );
+    if let Verdict::Unsafe(w) = &pipeline.verdict {
+        assert_eq!(w.probs.len(), big.dims());
+        let gap = RationalProductDist::new(w.probs.clone())
+            .unwrap()
+            .safety_gap(&ea, &eb);
+        assert_eq!(gap, w.gap, "lifted witness gap must be exact, {ctx}");
+        assert!(gap.is_negative());
+    }
+    // The unprojected branch-and-bound on the full-width sets agrees.
+    let direct = decide_product_safety(big, &ea, &eb, ProductSolverOptions::default()).0;
+    assert_eq!(
+        direct.is_safe(),
+        pipeline.verdict.is_safe(),
+        "direct B&B, {ctx}"
+    );
+    assert_eq!(
+        direct.is_unsafe(),
+        pipeline.verdict.is_unsafe(),
+        "direct B&B, {ctx}"
+    );
+}
+
+#[test]
+fn embedding_into_unused_records_preserves_every_decision() {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(59);
+    for case in 0..48 {
+        let n = 2 + case % 4;
+        let small = Cube::new(n);
+        let big = Cube::new(rng.gen_range(n + 1..=10));
+        let positions = random_positions(&big, n, &mut rng);
+        let a = generate::random_nonempty_set(&small, 0.45, &mut rng);
+        let b = generate::random_nonempty_set(&small, 0.45, &mut rng);
+        assert_embedding_preserves_decisions(&small, &a, &b, &big, &positions);
+    }
+}
+
+#[test]
+fn embedding_remark_5_12_pairs_preserves_every_decision() {
+    // The pair that defeats every criterion, also A↔B swapped and
+    // bit-flipped: the embedded copy must still reach branch-and-bound
+    // and certify safe. (The unprojected solve this checks against costs
+    // ~25 s at 10 records in a debug build, so these stop at 8; the
+    // random pairs above reach 10.)
+    let (small, a, b) = epi_bench::remark_5_12_pair();
+    let (fa, fb) = (flip_set(&small, &a), flip_set(&small, &b));
+    let mut rng = rand::rngs::StdRng::seed_from_u64(61);
+    for (width, a, b) in [(4, &a, &b), (5, &b, &a), (6, &fa, &fb), (8, &fb, &fa)] {
+        let big = Cube::new(width);
+        let positions = random_positions(&big, small.dims(), &mut rng);
+        assert_embedding_preserves_decisions(&small, a, b, &big, &positions);
+        let wide = Auditor::new(PriorAssumption::Product).decide_sets(
+            &big,
+            &embed(&big, a, &positions),
+            &embed(&big, b, &positions),
+        );
+        assert_eq!(wide.stage, Some(Stage::BranchAndBound));
+        assert!(wide.finding == Finding::Safe, "{wide:?}");
+    }
+}
+
+#[test]
+fn single_record_support_decides_on_one_coordinate() {
+    let small = Cube::new(1);
+    let x = small.set_from_masks([1]);
+    let not_x = small.set_from_masks([0]);
+    let mut rng = rand::rngs::StdRng::seed_from_u64(67);
+    for width in [2usize, 5, 9] {
+        let big = Cube::new(width);
+        let positions = random_positions(&big, 1, &mut rng);
+        for (a, b) in [(&x, &x), (&x, &not_x), (&not_x, &not_x)] {
+            assert_embedding_preserves_decisions(&small, a, b, &big, &positions);
+            let (ea, eb) = (embed(&big, a, &positions), embed(&big, b, &positions));
+            let d = decide_product_pipeline(&big, &ea, &eb, ProductSolverOptions::default());
+            assert_eq!(d.support_dims, 1);
         }
     }
 }

@@ -69,6 +69,17 @@ fn traced_disclosure_spans_cover_every_layer() {
         got.contains(&"session.apply"),
         "disclosure did not record a session span: {got:?}"
     );
+    // The compute span names the width the solver ran at: disclosing
+    // `hiv_pos` against itself depends on one of the schema's two records.
+    let compute = spans
+        .iter()
+        .find(|s| s.label == "worker.compute")
+        .expect("compute span");
+    let detail = compute.detail.as_deref().unwrap_or_default();
+    assert!(
+        detail.starts_with("finding=") && detail.ends_with(" support=1/2"),
+        "compute span detail {detail:?}"
+    );
 
     // Spans arrive oldest-first with strictly increasing sequence
     // numbers, so the trail reads as a timeline.
