@@ -77,8 +77,38 @@ impl Query {
     }
 
     /// Compiles to the set of satisfying worlds over the schema's cube.
+    ///
+    /// Each atom is a [`WorldSet::coordinate`] and each connective one
+    /// pass of word operations over the operands' blocks, so a tree of
+    /// `t` nodes costs `O(t · ⌈2ⁿ/64⌉)` word operations; the result is
+    /// the set [`Query::eval`] accepts.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the query mentions a record outside the schema.
     pub fn compile(&self, schema: &Schema) -> WorldSet {
-        schema.cube().set_from_predicate(|w| self.eval(w))
+        let n = schema.len();
+        match self {
+            Query::Const(true) => WorldSet::full(1 << n),
+            Query::Const(false) => WorldSet::empty(1 << n),
+            Query::Present(id) => WorldSet::coordinate(n, id.0 as usize),
+            Query::Not(q) => q.compile(schema).complement(),
+            Query::And(a, b) => {
+                let mut s = a.compile(schema);
+                s.intersect_with(&b.compile(schema));
+                s
+            }
+            Query::Or(a, b) => {
+                let mut s = a.compile(schema);
+                s.union_with(&b.compile(schema));
+                s
+            }
+            Query::Implies(a, b) => {
+                let mut s = a.compile(schema).complement();
+                s.union_with(&b.compile(schema));
+                s
+            }
+        }
     }
 
     /// Semantic monotonicity: `true` iff the compiled set is an up-set
@@ -182,6 +212,18 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// The deepest formula tree [`parse`] builds, counting a leaf as one
+/// level. Compilation, display, evaluation and drop all recurse over the
+/// tree, so a request's formula must not be able to exhaust a thread's
+/// stack; a deeper formula is a [`ParseError`].
+pub const MAX_QUERY_DEPTH: usize = 256;
+
+/// Bound on the parser's own recursion through `!`, `(` and the right
+/// operand of `->`, which parentheses can grow without growing the
+/// tree. A canonical display opens at most two of them per tree level,
+/// so every accepted tree re-parses from its display.
+const MAX_PARSE_NESTING: usize = 2 * MAX_QUERY_DEPTH;
+
 /// Parses the query language (see module docs for the grammar) against a
 /// schema.
 pub fn parse(input: &str, schema: &Schema) -> Result<Query, ParseError> {
@@ -189,8 +231,9 @@ pub fn parse(input: &str, schema: &Schema) -> Result<Query, ParseError> {
         input: input.as_bytes(),
         pos: 0,
         schema,
+        nesting: 0,
     };
-    let q = p.implies()?;
+    let (q, _) = p.implies()?;
     p.skip_ws();
     if p.pos != p.input.len() {
         return Err(p.error("unexpected trailing input"));
@@ -198,10 +241,14 @@ pub fn parse(input: &str, schema: &Schema) -> Result<Query, ParseError> {
     Ok(q)
 }
 
+/// A parsed subtree and its depth (a leaf is 1).
+type Parsed = (Query, usize);
+
 struct Parser<'a> {
     input: &'a [u8],
     pos: usize,
     schema: &'a Schema,
+    nesting: usize,
 }
 
 impl Parser<'_> {
@@ -210,6 +257,35 @@ impl Parser<'_> {
             message: message.to_owned(),
             offset: self.pos,
         }
+    }
+
+    fn too_deep(&self) -> ParseError {
+        self.error(&format!("query nests deeper than {MAX_QUERY_DEPTH} levels"))
+    }
+
+    /// `q` over children at most `children_depth` deep, refused when
+    /// that makes it deeper than [`MAX_QUERY_DEPTH`].
+    fn node(&self, q: Query, children_depth: usize) -> Result<Parsed, ParseError> {
+        let depth = children_depth + 1;
+        if depth > MAX_QUERY_DEPTH {
+            return Err(self.too_deep());
+        }
+        Ok((q, depth))
+    }
+
+    /// Runs `f` one recursion level deeper, refusing to pass
+    /// [`MAX_PARSE_NESTING`].
+    fn nested(
+        &mut self,
+        f: impl FnOnce(&mut Self) -> Result<Parsed, ParseError>,
+    ) -> Result<Parsed, ParseError> {
+        if self.nesting == MAX_PARSE_NESTING {
+            return Err(self.too_deep());
+        }
+        self.nesting += 1;
+        let parsed = f(self);
+        self.nesting -= 1;
+        parsed
     }
 
     fn skip_ws(&mut self) {
@@ -228,45 +304,46 @@ impl Parser<'_> {
         }
     }
 
-    fn implies(&mut self) -> Result<Query, ParseError> {
-        let lhs = self.or()?;
+    fn implies(&mut self) -> Result<Parsed, ParseError> {
+        let (lhs, dl) = self.or()?;
         if self.eat("->") {
-            let rhs = self.implies()?; // right associative
-            Ok(Query::implies(lhs, rhs))
+            let (rhs, dr) = self.nested(Self::implies)?; // right associative
+            self.node(Query::implies(lhs, rhs), dl.max(dr))
         } else {
-            Ok(lhs)
+            Ok((lhs, dl))
         }
     }
 
-    fn or(&mut self) -> Result<Query, ParseError> {
-        let mut q = self.and()?;
+    fn or(&mut self) -> Result<Parsed, ParseError> {
+        let (mut q, mut depth) = self.and()?;
         while self.eat("|") {
-            let rhs = self.and()?;
-            q = Query::or(q, rhs);
+            let (rhs, dr) = self.and()?;
+            (q, depth) = self.node(Query::or(q, rhs), depth.max(dr))?;
         }
-        Ok(q)
+        Ok((q, depth))
     }
 
-    fn and(&mut self) -> Result<Query, ParseError> {
-        let mut q = self.unary()?;
+    fn and(&mut self) -> Result<Parsed, ParseError> {
+        let (mut q, mut depth) = self.unary()?;
         while self.eat("&") {
-            let rhs = self.unary()?;
-            q = Query::and(q, rhs);
+            let (rhs, dr) = self.unary()?;
+            (q, depth) = self.node(Query::and(q, rhs), depth.max(dr))?;
         }
-        Ok(q)
+        Ok((q, depth))
     }
 
-    fn unary(&mut self) -> Result<Query, ParseError> {
+    fn unary(&mut self) -> Result<Parsed, ParseError> {
         self.skip_ws();
         if self.eat("!") {
-            return Ok(Query::not(self.unary()?));
+            let (q, depth) = self.nested(Self::unary)?;
+            return self.node(Query::not(q), depth);
         }
         if self.eat("(") {
-            let q = self.implies()?;
+            let parsed = self.nested(Self::implies)?;
             if !self.eat(")") {
                 return Err(self.error("expected ')'"));
             }
-            return Ok(q);
+            return Ok(parsed);
         }
         // Identifier.
         let start = self.pos;
@@ -279,9 +356,9 @@ impl Parser<'_> {
             return Err(self.error("expected a record name, 'true', 'false', '!' or '('"));
         }
         let name = std::str::from_utf8(&self.input[start..self.pos]).expect("ascii");
-        match name {
-            "true" => Ok(Query::Const(true)),
-            "false" => Ok(Query::Const(false)),
+        let leaf = match name {
+            "true" => Query::Const(true),
+            "false" => Query::Const(false),
             _ => self
                 .schema
                 .record_id(name)
@@ -289,8 +366,9 @@ impl Parser<'_> {
                 .ok_or_else(|| ParseError {
                     message: format!("unknown record {name:?}"),
                     offset: start,
-                }),
-        }
+                })?,
+        };
+        Ok((leaf, 1))
     }
 }
 
@@ -380,9 +458,10 @@ mod tests {
         }
     }
 
-    fn arb_query(depth: u32) -> BoxedStrategy<Query> {
+    /// Random formulas over records `0..records`, with constant leaves.
+    fn arb_query(records: u32, depth: u32) -> BoxedStrategy<Query> {
         let leaf = prop_oneof![
-            (0u32..3).prop_map(|i| Query::Present(RecordId(i))),
+            (0..records).prop_map(|i| Query::Present(RecordId(i))),
             any::<bool>().prop_map(Query::Const),
         ];
         leaf.prop_recursive(depth, 32, 2, |inner| {
@@ -396,10 +475,55 @@ mod tests {
         .boxed()
     }
 
+    /// A schema of `n` records named `r0..`.
+    fn numbered(n: usize) -> Schema {
+        let names: Vec<String> = (0..n).map(|i| format!("r{i}")).collect();
+        Schema::from_names(&names).unwrap()
+    }
+
+    #[test]
+    fn depth_limit_is_exact() {
+        let s = numbered(2);
+        let at_limit = MAX_QUERY_DEPTH - 1;
+        for (op, unit) in [("!", "!"), ("|", "r1|"), ("&", "r1&"), ("->", "r1->")] {
+            let ok = format!("{}r0", unit.repeat(at_limit));
+            let q = parse(&ok, &s).unwrap_or_else(|e| panic!("{op} at the limit: {e}"));
+            // The canonical display of an accepted tree re-parses.
+            let shown = q.display(&s).to_string();
+            assert_eq!(parse(&shown, &s).unwrap(), q, "{op}");
+            let deeper = format!("{}r0", unit.repeat(at_limit + 1));
+            let err = parse(&deeper, &s).unwrap_err();
+            assert!(err.message.contains("nests deeper"), "{op}: {err}");
+        }
+        // Parentheses nest the parser without deepening the tree; they
+        // are bounded too.
+        let parens = |k: usize| format!("{}r0{}", "(".repeat(k), ")".repeat(k));
+        assert_eq!(
+            parse(&parens(2 * MAX_QUERY_DEPTH), &s).unwrap(),
+            Query::Present(RecordId(0))
+        );
+        assert!(parse(&parens(2 * MAX_QUERY_DEPTH + 1), &s).is_err());
+    }
+
+    #[test]
+    fn hostile_depths_are_errors() {
+        let s = numbered(2);
+        for hostile in [
+            format!("{}r0", "!".repeat(20_000)),
+            format!("{}r0", "r1|".repeat(30_000)),
+            format!("{}r0", "(".repeat(20_000)),
+        ] {
+            assert!(parse(&hostile, &s)
+                .unwrap_err()
+                .message
+                .contains("nests deeper"));
+        }
+    }
+
     proptest! {
         /// Display → parse round-trips semantically.
         #[test]
-        fn prop_display_parse_roundtrip(q in arb_query(4)) {
+        fn prop_display_parse_roundtrip(q in arb_query(3, 4)) {
             let s = schema();
             let rendered = q.display(&s).to_string();
             let q2 = parse(&rendered, &s).unwrap();
@@ -410,7 +534,7 @@ mod tests {
 
         /// Compilation respects the Boolean algebra.
         #[test]
-        fn prop_compile_homomorphic(a in arb_query(3), b in arb_query(3)) {
+        fn prop_compile_homomorphic(a in arb_query(3, 3), b in arb_query(3, 3)) {
             let s = schema();
             let sa = a.compile(&s);
             let sb = b.compile(&s);
@@ -421,6 +545,23 @@ mod tests {
                 Query::implies(a, b).compile(&s),
                 sa.complement().union(&sb)
             );
+        }
+
+        /// Word-parallel compilation agrees with evaluating the formula
+        /// on every world, below one block, at one block, inline and on
+        /// the heap, and its blocks are canonical (padding bits zero).
+        #[test]
+        fn prop_compile_matches_eval_on_every_world(
+            (n, q) in (1u32..=12).prop_flat_map(|n| (Just(n), arb_query(n, 4)))
+        ) {
+            let s = numbered(n as usize);
+            let set = q.compile(&s);
+            prop_assert_eq!(&set, &s.cube().set_from_predicate(|w| q.eval(w)));
+            prop_assert_eq!(WorldSet::from_blocks(1 << n, set.blocks().to_vec()), Some(set));
+            for i in 0..n {
+                let atom = Query::Present(RecordId(i));
+                prop_assert_eq!(atom.compile(&s), s.cube().set_from_predicate(|w| atom.eval(w)));
+            }
         }
     }
 }

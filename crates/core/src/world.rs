@@ -173,6 +173,42 @@ impl WorldSet {
         s
     }
 
+    /// The worlds of the cube `{0,1}^dims` (universe `2^dims`, world `ω`
+    /// read as a bitmask) whose coordinate `i` is 1, built a block at a
+    /// time: a coordinate below 6 repeats one fixed pattern in every
+    /// block, and a higher one fills a whole block with bit `i − 6` of
+    /// the block's index. The blocks are written in place, so cubes of
+    /// up to eight coordinates stay inline.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i ≥ dims` or `2^dims` overflows `usize`.
+    pub fn coordinate(dims: usize, i: usize) -> WorldSet {
+        const IN_BLOCK: [u64; 6] = [
+            0xAAAA_AAAA_AAAA_AAAA,
+            0xCCCC_CCCC_CCCC_CCCC,
+            0xF0F0_F0F0_F0F0_F0F0,
+            0xFF00_FF00_FF00_FF00,
+            0xFFFF_0000_FFFF_0000,
+            0xFFFF_FFFF_0000_0000,
+        ];
+        assert!(i < dims, "coordinate {i} outside a {dims}-coordinate cube");
+        assert!(
+            dims < usize::BITS as usize,
+            "a {dims}-coordinate cube overflows usize"
+        );
+        let mut s = WorldSet::empty(1 << dims);
+        for (index, block) in s.blocks_mut().iter_mut().enumerate() {
+            *block = match IN_BLOCK.get(i) {
+                Some(&pattern) => pattern,
+                None if index >> (i - IN_BLOCK.len()) & 1 == 1 => u64::MAX,
+                None => 0,
+            };
+        }
+        s.clear_padding();
+        s
+    }
+
     fn blocks_mut(&mut self) -> &mut [u64] {
         let count = self.universe.div_ceil(BLOCK_BITS);
         match &mut self.blocks {
@@ -575,6 +611,28 @@ mod tests {
     fn from_predicate_matches_manual() {
         let s = WorldSet::from_predicate(16, |w| w.0 % 3 == 0);
         assert_eq!(s, WorldSet::from_indices(16, [0, 3, 6, 9, 12, 15]));
+    }
+
+    #[test]
+    fn coordinate_matches_its_bit_on_every_world() {
+        // 1..=10 coordinates: less than a block, one block, inline, heap.
+        for dims in 1..=10 {
+            for i in 0..dims {
+                let s = WorldSet::coordinate(dims, i);
+                let want = WorldSet::from_predicate(1 << dims, |w| w.0 >> i & 1 == 1);
+                assert_eq!(s, want, "dims {dims} coordinate {i}");
+                assert_eq!(
+                    WorldSet::from_blocks(1 << dims, s.blocks().to_vec()),
+                    Some(want)
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "outside a 3-coordinate cube")]
+    fn coordinate_outside_the_cube_panics() {
+        WorldSet::coordinate(3, 3);
     }
 
     #[test]

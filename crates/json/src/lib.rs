@@ -201,10 +201,14 @@ impl Json {
 
     /// Parses a complete JSON document (trailing whitespace allowed,
     /// trailing garbage rejected).
+    ///
+    /// Arrays and objects may nest at most [`MAX_JSON_DEPTH`] deep; a
+    /// deeper document is an error, not a stack overflow.
     pub fn parse(input: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         let v = p.value()?;
         p.skip_ws();
@@ -258,9 +262,18 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// The deepest nesting of arrays and objects [`Json::parse`] accepts.
+/// Parsing, rendering and drop all recurse over the value, and every
+/// request line is parsed, so a hostile line must not be able to exhaust
+/// a thread's stack. The documents this workspace writes nest a few
+/// levels deep.
+pub const MAX_JSON_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -316,57 +329,77 @@ impl Parser<'_> {
                 }
             }
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => {
-                self.pos += 1;
-                let mut items = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b']') {
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
+            Some(_) => self.number(),
+        }
+    }
+
+    /// Parses a container one level deeper, refusing to pass
+    /// [`MAX_JSON_DEPTH`].
+    fn nested(&mut self, f: fn(&mut Self) -> Result<Json, JsonError>) -> Result<Json, JsonError> {
+        if self.depth == MAX_JSON_DEPTH {
+            return Err(self.err(&format!(
+                "arrays and objects nest deeper than {MAX_JSON_DEPTH} levels"
+            )));
+        }
+        self.depth += 1;
+        let container = f(self);
+        self.depth -= 1;
+        container
+    }
+
+    /// An array, at its `[`.
+    fn array(&mut self) -> Result<Json, JsonError> {
+        self.pos += 1;
+        let mut items = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b']') {
+            self.pos += 1;
+            return Ok(Json::Arr(items));
+        }
+        loop {
+            items.push(self.value()?);
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b']') => {
                     self.pos += 1;
                     return Ok(Json::Arr(items));
                 }
-                loop {
-                    items.push(self.value()?);
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b']') => {
-                            self.pos += 1;
-                            return Ok(Json::Arr(items));
-                        }
-                        _ => return Err(self.err("expected ',' or ']' in array")),
-                    }
-                }
+                _ => return Err(self.err("expected ',' or ']' in array")),
             }
-            Some(b'{') => {
-                self.pos += 1;
-                let mut members = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b'}') {
+        }
+    }
+
+    /// An object, at its `{`.
+    fn object(&mut self) -> Result<Json, JsonError> {
+        self.pos += 1;
+        let mut members = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
+            return Ok(Json::Obj(members));
+        }
+        loop {
+            self.skip_ws();
+            let key = self.string()?;
+            self.skip_ws();
+            if self.peek() != Some(b':') {
+                return Err(self.err("expected ':' after object key"));
+            }
+            self.pos += 1;
+            let val = self.value()?;
+            members.push((key, val));
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b'}') => {
                     self.pos += 1;
                     return Ok(Json::Obj(members));
                 }
-                loop {
-                    self.skip_ws();
-                    let key = self.string()?;
-                    self.skip_ws();
-                    if self.peek() != Some(b':') {
-                        return Err(self.err("expected ':' after object key"));
-                    }
-                    self.pos += 1;
-                    let val = self.value()?;
-                    members.push((key, val));
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b'}') => {
-                            self.pos += 1;
-                            return Ok(Json::Obj(members));
-                        }
-                        _ => return Err(self.err("expected ',' or '}' in object")),
-                    }
-                }
+                _ => return Err(self.err("expected ',' or '}' in object")),
             }
-            Some(_) => self.number(),
         }
     }
 
@@ -638,6 +671,20 @@ mod tests {
             v.get("tags").and_then(Json::as_arr).map(<[Json]>::len),
             Some(4)
         );
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nest = |open: &str, close: &str, k: usize| open.repeat(k) + "0" + &close.repeat(k);
+        for (open, close) in [("[", "]"), ("{\"a\":", "}")] {
+            let at_limit = nest(open, close, MAX_JSON_DEPTH);
+            assert_eq!(Json::parse(&at_limit).unwrap().render(), at_limit);
+            let err = Json::parse(&nest(open, close, MAX_JSON_DEPTH + 1)).unwrap_err();
+            assert!(err.message.contains("nest deeper"), "{err}");
+            assert_eq!(err.offset, MAX_JSON_DEPTH * open.len());
+        }
+        // A hostile line is an error, not a stack overflow.
+        assert!(Json::parse(&nest("[", "]", 20_000)).is_err());
     }
 
     #[test]

@@ -33,9 +33,9 @@ use crate::session::{knowledge_digest, ledger_digest, Session, SessionError, Ses
 use crate::worker::{DecideError, DecisionPool, FaultHook, QueuePolicy};
 use epi_audit::auditor::{EntryKind, ReportEntry};
 use epi_audit::query::parse;
-use epi_audit::{Auditor, Decision, Finding, PriorAssumption, Schema};
+use epi_audit::{Auditor, Decision, Finding, PriorAssumption, Query, Schema};
 use epi_core::risk::RISK_SCALE;
-use epi_core::{CancelToken, Deadline, WorldId, WorldSet};
+use epi_core::{CancelToken, Deadline, WorldId};
 use epi_solver::ProductSolverOptions;
 use epi_trace::{Recorder, SpanRecord};
 use epi_wal::{FsyncPolicy, RecoveryReport, Wal, WalConfig, WalError};
@@ -752,14 +752,9 @@ impl AuditService {
         Response::Trace(spans.into_iter().map(wire_span).collect())
     }
 
-    fn compile(&self, text: &str) -> Result<(String, WorldSet), Response> {
-        match parse(text, &self.schema) {
-            Ok(q) => {
-                let set = q.compile(&self.schema);
-                Ok((q.display(&self.schema).to_string(), set))
-            }
-            Err(e) => Err(Response::bad_request(format!("cannot parse `{text}`: {e}"))),
-        }
+    fn parse(&self, text: &str) -> Result<Query, Response> {
+        parse(text, &self.schema)
+            .map_err(|e| Response::bad_request(format!("cannot parse `{text}`: {e}")))
     }
 
     /// Submits a decision, translating pool-level failures into the typed
@@ -849,14 +844,15 @@ impl AuditService {
                 }
             }
         }
-        let (_, audit_set) = match self.compile(audit_text) {
-            Ok(x) => x,
+        let audit_set = match self.parse(audit_text) {
+            Ok(q) => q.compile(&self.schema),
             Err(resp) => return resp,
         };
-        let (query_display, query_set) = match self.compile(query_text) {
-            Ok(x) => x,
+        let query = match self.parse(query_text) {
+            Ok(q) => q,
             Err(resp) => return resp,
         };
+        let query_set = query.compile(&self.schema);
         if (state_mask as usize) >= query_set.universe_size() {
             return Response::bad_request(format!(
                 "state mask {state_mask:#b} does not denote a world of the {}-record schema",
@@ -982,7 +978,8 @@ impl AuditService {
             kind: EntryKind::Single,
             finding: decision.finding,
             explanation: format!(
-                "query `{query_display}` answered {answer}: {}",
+                "query `{}` answered {answer}: {}",
+                query.display(&self.schema),
                 decision.explanation
             ),
             risk_micros: Some(risk_micros),
@@ -1056,8 +1053,8 @@ impl AuditService {
         if let Some(reject) = self.fairness_reject(user) {
             return reject;
         }
-        let (_, audit_set) = match self.compile(audit_text) {
-            Ok(x) => x,
+        let audit_set = match self.parse(audit_text) {
+            Ok(q) => q.compile(&self.schema),
             Err(resp) => return resp,
         };
         let Some(session) = self.sessions.get(user) else {

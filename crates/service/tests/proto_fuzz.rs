@@ -7,7 +7,7 @@
 use epi_audit::{PriorAssumption, Schema};
 use epi_json::{Deserialize, Json, Serialize};
 use epi_service::{
-    AuditService, Request, RequestMeta, Response, Server, ServerOptions, ServiceConfig,
+    AuditService, ErrorCode, Request, RequestMeta, Response, Server, ServerOptions, ServiceConfig,
 };
 use proptest::collection;
 use proptest::prelude::*;
@@ -216,5 +216,73 @@ fn oversized_and_invalid_utf8_frames_get_error_lines_over_tcp() {
         matches!(Response::from_json(&value), Ok(Response::Entry(_))),
         "well-formed disclose must still work: {reply}"
     );
+    server.shutdown();
+}
+
+/// Deeply nested request lines — far inside the default line bound —
+/// are answered with `bad_request` instead of overflowing a handler
+/// thread's stack and aborting the daemon, and the connection that sent
+/// them keeps being served.
+#[test]
+fn deeply_nested_lines_are_refused_and_the_connection_serves_on() {
+    let schema = Schema::from_names(&["r0", "r1"]).unwrap();
+    let service = Arc::new(AuditService::new(
+        schema,
+        ServiceConfig {
+            assumption: PriorAssumption::Product,
+            workers: 1,
+            ..ServiceConfig::default()
+        },
+    ));
+    let server = Server::spawn(Arc::clone(&service), "127.0.0.1:0").expect("bind");
+    let mut stream = TcpStream::connect(server.addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("read timeout");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
+    let mut call = |line: String| {
+        stream.write_all(line.as_bytes()).expect("write");
+        stream.write_all(b"\n").expect("write");
+        let mut reply = String::new();
+        reader.read_line(&mut reply).expect("the daemon answers");
+        Response::from_json(&Json::parse(reply.trim_end()).expect("reply is JSON"))
+            .expect("typed reply")
+    };
+    let disclose = |query: String| {
+        Request::Disclose {
+            user: "eve".to_owned(),
+            time: 1,
+            query,
+            state_mask: 0b01,
+            audit_query: "r0".to_owned(),
+        }
+        .to_json()
+        .render()
+    };
+    let refusals = [
+        (
+            format!("{}{}", "[".repeat(20_000), "]".repeat(20_000)),
+            "bad JSON at byte",
+        ),
+        (
+            disclose(format!("{}r0", "!".repeat(20_000))),
+            "nests deeper",
+        ),
+        (
+            disclose(format!("{}r0", "r1|".repeat(30_000))),
+            "nests deeper",
+        ),
+    ];
+    for (line, why) in refusals {
+        match call(line) {
+            Response::Error {
+                code: ErrorCode::BadRequest,
+                message,
+                ..
+            } => assert!(message.contains(why), "expected `{why}`, got: {message}"),
+            other => panic!("a deep line must be a bad_request, got {other:?}"),
+        }
+    }
+    assert_eq!(call(Request::Ping.to_json().render()), Response::Pong);
     server.shutdown();
 }

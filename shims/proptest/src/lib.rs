@@ -4,7 +4,7 @@
 //! The build environment has no network access, so the real `proptest`
 //! crate cannot be vendored. This shim keeps the same source-level API —
 //! the [`proptest!`] macro, [`Strategy`] with `prop_map` /
-//! `prop_recursive` / `boxed`, [`collection::vec`], [`any`],
+//! `prop_flat_map` / `prop_recursive` / `boxed`, [`collection::vec`], [`any`],
 //! [`prop_oneof!`], and the `prop_assert*` macros — backed by plain
 //! seeded random sampling:
 //!
@@ -36,6 +36,16 @@ pub mod strategy {
             F: Fn(Self::Value) -> U,
         {
             Map { inner: self, f }
+        }
+
+        /// Draws a value, then draws from the strategy `f` builds from it.
+        fn prop_flat_map<S, F>(self, f: F) -> FlatMap<Self, F>
+        where
+            Self: Sized,
+            S: Strategy,
+            F: Fn(Self::Value) -> S,
+        {
+            FlatMap { inner: self, f }
         }
 
         /// Builds a recursive strategy: `recurse` receives a strategy for
@@ -112,6 +122,24 @@ pub mod strategy {
         type Value = U;
         fn sample(&self, rng: &mut StdRng) -> U {
             (self.f)(self.inner.sample(rng))
+        }
+    }
+
+    /// See [`Strategy::prop_flat_map`].
+    pub struct FlatMap<S, F> {
+        inner: S,
+        f: F,
+    }
+
+    impl<S, F, T> Strategy for FlatMap<S, F>
+    where
+        S: Strategy,
+        T: Strategy,
+        F: Fn(S::Value) -> T,
+    {
+        type Value = T::Value;
+        fn sample(&self, rng: &mut StdRng) -> T::Value {
+            (self.f)(self.inner.sample(rng)).sample(rng)
         }
     }
 
