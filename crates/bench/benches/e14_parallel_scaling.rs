@@ -1,7 +1,8 @@
-//! E14 — the parallel solver engine on the hard family: thread-count
-//! sweep in deterministic mode, plus the dense-kernel ablation against
-//! the pre-engine sequential baseline (`dense_kernel: false, threads: 1`,
-//! i.e. the seed solver's eager `BTreeMap` rational gap assembly).
+//! E14 — the parallel solver engine on the hard family: a thread-count
+//! sweep. The pre-engine sequential baseline (the eager `BTreeMap`
+//! rational gap assembly) was retired with its solver path; its timings
+//! stay recorded as `legacy_seq` in `BENCH_PR2.json`, `BENCH_PR5.json`
+//! and `BENCH_PR10.json`.
 //!
 //! The machine-readable companion is `cargo run --release --bin
 //! perf_trajectory`, which times the same instances (including the n ≥ 10
@@ -39,54 +40,23 @@ fn bench(c: &mut Criterion) {
             },
         );
     }
-    g.bench_function(
-        BenchmarkId::new("r512xhiv_threads", "legacy_seq"),
-        |bench| {
-            let opts = ProductSolverOptions {
-                dense_kernel: false,
-                threads: 1,
-                ..base
-            };
-            bench.iter(|| {
-                decide_product_safety(black_box(&cube), black_box(&a), black_box(&b), opts)
-            })
-        },
-    );
 
-    // Construction-bound: a dense monotone-no pair at n=9 (safe by FKG;
-    // the baseline pays the exact-rational BTreeMap assembly per solve).
+    // Construction-bound: a dense monotone-no pair at n=9 (safe by FKG).
     let cube9 = Cube::new(9);
     let mut rng = rand::rngs::StdRng::seed_from_u64(14);
     let (a9, b9) = PairShape::MonotoneNo.sample(&cube9, &mut rng);
-    let base9 = ProductSolverOptions {
+    let opts9 = ProductSolverOptions {
         max_boxes: 512,
         coordinate_ascent: false,
         sos_fallback: false,
+        threads: 8,
         ..Default::default()
     };
-    for (tag, opts) in [
-        (
-            "legacy_seq",
-            ProductSolverOptions {
-                dense_kernel: false,
-                threads: 1,
-                ..base9
-            },
-        ),
-        (
-            "dense_8t",
-            ProductSolverOptions {
-                threads: 8,
-                ..base9
-            },
-        ),
-    ] {
-        g.bench_function(BenchmarkId::new("monotone_no_n9", tag), |bench| {
-            bench.iter(|| {
-                decide_product_safety(black_box(&cube9), black_box(&a9), black_box(&b9), opts)
-            })
-        });
-    }
+    g.bench_function(BenchmarkId::new("monotone_no_n9", "dense_8t"), |bench| {
+        bench.iter(|| {
+            decide_product_safety(black_box(&cube9), black_box(&a9), black_box(&b9), opts9)
+        })
+    });
     g.finish();
 }
 

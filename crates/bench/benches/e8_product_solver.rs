@@ -1,12 +1,12 @@
 //! E8 — the complete product-distribution solver: scaling in `n` and the
-//! ablations called out in DESIGN.md (coordinate-ascent warm start,
-//! Bernstein vs interval bounds).
+//! coordinate-ascent warm-start ablation called out in DESIGN.md. The
+//! interval-bound ablation was retired with its solver path; its numbers
+//! stay recorded in EXPERIMENTS.md (E8).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use epi_bench::{remark_5_12_pair, PairShape};
 use epi_boolean::Cube;
 use epi_core::WorldSet;
-use epi_solver::product::BoundMethod;
 use epi_solver::{decide_product_safety, ProductSolverOptions};
 use rand::SeedableRng;
 use std::hint::black_box;
@@ -50,14 +50,6 @@ fn bench(c: &mut Criterion) {
             "no_ascent",
             ProductSolverOptions {
                 coordinate_ascent: false,
-                ..Default::default()
-            },
-        ),
-        (
-            "interval_bounds_budget2k",
-            ProductSolverOptions {
-                bound_method: BoundMethod::Interval,
-                max_boxes: 2_000,
                 ..Default::default()
             },
         ),

@@ -25,7 +25,7 @@
 
 use epi_bench::hard_family;
 use epi_json::Json;
-use epi_solver::{decide_product_safety, ProductSolverOptions, SubdivisionMode};
+use epi_solver::{decide_product_safety, ProductSolverOptions};
 use std::time::Instant;
 
 /// Regression threshold: fail below this fraction of recorded throughput.
@@ -63,7 +63,6 @@ fn main() {
             max_boxes: if cube.dims() >= 9 { 1_000 } else { 8_000 },
             coordinate_ascent: false,
             sos_fallback: false,
-            subdivision: SubdivisionMode::Incremental,
             threads: 1,
             ..Default::default()
         };

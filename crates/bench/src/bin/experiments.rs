@@ -402,14 +402,6 @@ fn e8_product_solver() {
             },
         ),
         (
-            "interval bounds (no Bernstein)",
-            ProductSolverOptions {
-                bound_method: epi_solver::product::BoundMethod::Interval,
-                max_boxes: 5_000,
-                ..base_opts
-            },
-        ),
-        (
             "no SOS fallback",
             ProductSolverOptions {
                 sos_fallback: false,

@@ -1,6 +1,6 @@
 //! Perf-trajectory harness for the solver engine: times the E8 (product
-//! solver), E12 (audit composition), E14 (parallel scaling / dense
-//! kernel), E15 (incremental subdivision / zero-allocation hot path)
+//! solver), E12 (audit composition), E14 (parallel scaling), E15
+//! (incremental subdivision / zero-allocation hot path)
 //! E16 (disclosure throughput vs. durability policy), E17
 //! (concurrent-connection throughput, reactor vs. thread-per-conn), E18
 //! (goodput under an overload storm with adaptive admission), E19
@@ -13,24 +13,22 @@
 //!
 //! Run:  `cargo run --release --bin perf_trajectory [-- out.json [baseline.json]]`
 //!
-//! The `legacy_seq` configuration (`dense_kernel: false, threads: 1`) is
-//! the seed solver verbatim: eager exact-rational gap assembly through
-//! the `BTreeMap` polynomial followed by the same Bernstein
-//! branch-and-bound. E15 additionally compares the incremental
-//! subdivision engine against the recompute-per-box path and against the
-//! committed `BENCH_PR2.json` numbers, reporting boxes/sec and — thanks
-//! to the counting global allocator this binary installs —
-//! allocations/box. On this container `available_parallelism` may be 1,
-//! in which case the thread-count sweep is flat and every reported
-//! speedup is algorithmic; the JSON records the core count so readers
-//! can tell the two apart.
+//! The solver has one engine, so E8, E12 and E14 time it at several
+//! thread counts. The retired ablation arms — the pre-engine `legacy_seq`
+//! solver, E15's recompute-per-box path and E20's box-at-a-time path —
+//! stay recorded in `BENCH_PR2.json`, `BENCH_PR5.json` and
+//! `BENCH_PR10.json`. E15 compares the engine against the committed
+//! `BENCH_PR2.json` numbers, reporting boxes/sec and — thanks to the
+//! counting global allocator this binary installs — allocations/box.
+//! When `available_parallelism` is 1 the thread-count sweep is flat; the
+//! JSON records the core count so readers can tell.
 
 use epi_bench::{hard_family, PairShape};
 use epi_boolean::{generate, Cube};
 use epi_core::WorldSet;
 use epi_json::Json;
 use epi_poly::{indicator, subdivision};
-use epi_solver::{decide_product_safety, ProductSolverOptions, SubdivisionMode, Verdict};
+use epi_solver::{decide_product_safety, ProductSolverOptions, Verdict};
 use rand::SeedableRng;
 use std::hint::black_box;
 use std::time::Instant;
@@ -82,7 +80,7 @@ fn e8(configs: &[(&str, ProductSolverOptions)]) -> Json {
         }
         let speedup = walls[0].1 / walls.last().unwrap().1;
         println!(
-            "n={n}: {}  speedup={speedup:.2}x",
+            "n={n}: {}  speedup_8t_vs_1t={speedup:.2}x",
             walls
                 .iter()
                 .map(|(t, w)| format!("{t}={w:.1}ms"))
@@ -90,14 +88,17 @@ fn e8(configs: &[(&str, ProductSolverOptions)]) -> Json {
                 .join(" ")
         );
         rows.push(Json::obj(
-            [("n", Json::from(n)), ("speedup", Json::from(speedup))]
-                .into_iter()
-                .chain(
-                    walls
-                        .iter()
-                        .map(|(t, w)| (*t, Json::obj([("wall_ms", Json::from(*w))]))),
-                )
-                .collect::<Vec<_>>(),
+            [
+                ("n", Json::from(n)),
+                ("speedup_8t_vs_1t", Json::from(speedup)),
+            ]
+            .into_iter()
+            .chain(
+                walls
+                    .iter()
+                    .map(|(t, w)| (*t, Json::obj([("wall_ms", Json::from(*w))]))),
+            )
+            .collect::<Vec<_>>(),
         ));
     }
     Json::arr(rows)
@@ -109,11 +110,6 @@ fn e12() -> Json {
     use epi_audit::workload::{hospital_scenario, random_workload, WorkloadParams};
 
     println!("\n## E12 — audit composition, product-prior assumption\n");
-    let legacy_opts = ProductSolverOptions {
-        dense_kernel: false,
-        threads: 1,
-        ..Default::default()
-    };
     let mut rows = Vec::new();
     let scenario = hospital_scenario();
     let hiv = parse("hiv_pos", &scenario.schema).unwrap();
@@ -138,23 +134,14 @@ fn e12() -> Json {
         workloads.push((name, w.schema, w.log, q));
     }
     for (name, _schema, log, query) in &workloads {
-        let legacy = Auditor::new(PriorAssumption::Product).with_product_options(legacy_opts);
-        let dense = Auditor::new(PriorAssumption::Product);
-        let wall_legacy = time_ms(|| {
-            let _ = legacy.audit(log, query);
+        let auditor = Auditor::new(PriorAssumption::Product);
+        let wall = time_ms(|| {
+            let _ = auditor.audit(log, query);
         });
-        let wall_dense = time_ms(|| {
-            let _ = dense.audit(log, query);
-        });
-        let speedup = wall_legacy / wall_dense;
-        println!(
-            "{name}: legacy_seq={wall_legacy:.1}ms engine={wall_dense:.1}ms speedup={speedup:.2}x"
-        );
+        println!("{name}: engine={wall:.1}ms");
         rows.push(Json::obj([
             ("workload", Json::from(*name)),
-            ("legacy_seq_wall_ms", Json::from(wall_legacy)),
-            ("engine_wall_ms", Json::from(wall_dense)),
-            ("speedup", Json::from(speedup)),
+            ("engine_wall_ms", Json::from(wall)),
         ]));
     }
     Json::arr(rows)
@@ -163,8 +150,7 @@ fn e12() -> Json {
 /// The E14 instance set: the structured hard family (Remark 5.12 tensors
 /// whose gaps vanish on interior surfaces — box-search-bound) plus dense
 /// monotone-no pairs (up-set vs. down-set, safe for every product prior by
-/// FKG — construction-bound, where the `BTreeMap` baseline pays seconds of
-/// exact-rational assembly the dense kernel does in microseconds).
+/// FKG — construction-bound).
 fn e14_instances() -> Vec<(String, Cube, WorldSet, WorldSet, usize)> {
     let mut out: Vec<(String, Cube, WorldSet, WorldSet, usize)> = hard_family()
         .into_iter()
@@ -183,14 +169,14 @@ fn e14_instances() -> Vec<(String, Cube, WorldSet, WorldSet, usize)> {
 }
 
 fn e14() -> (Json, f64) {
-    println!("\n## E14 — parallel engine vs sequential baseline (hard family)\n");
+    println!("\n## E14 — parallel engine thread sweep (hard family)\n");
     // Per-core normalization: an 8-thread request on a 2-core container
     // runs on 2 cores, so boxes/sec/core divides by the effective count,
     // not the requested one.
     let cores = std::thread::available_parallelism().map_or(1, usize::from);
     let eff_8t = 8.min(cores.max(1));
     let mut rows = Vec::new();
-    let mut total_legacy = 0.0;
+    let mut total_1t = 0.0;
     let mut total_8t = 0.0;
     for (name, cube, a, b, max_boxes) in e14_instances() {
         // Ascent and the SOS fallback are identical in both engines and
@@ -203,14 +189,6 @@ fn e14() -> (Json, f64) {
             ..Default::default()
         };
         let configs = [
-            (
-                "legacy_seq",
-                ProductSolverOptions {
-                    dense_kernel: false,
-                    threads: 1,
-                    ..base
-                },
-            ),
             ("dense_1t", ProductSolverOptions { threads: 1, ..base }),
             ("dense_2t", ProductSolverOptions { threads: 2, ..base }),
             ("dense_8t", ProductSolverOptions { threads: 8, ..base }),
@@ -231,9 +209,9 @@ fn e14() -> (Json, f64) {
             verdicts.iter().all(|v| *v == verdicts[0]),
             "{name}: deterministic engine must agree across configs"
         );
-        let speedup = walls[0].1 / walls[3].1;
-        total_legacy += walls[0].1;
-        total_8t += walls[3].1;
+        let speedup = walls[0].1 / walls[2].1;
+        total_1t += walls[0].1;
+        total_8t += walls[2].1;
         println!(
             "{name} (n={}, {} boxes, {}): {}  speedup_8t={speedup:.2}x",
             cube.dims(),
@@ -252,11 +230,11 @@ fn e14() -> (Json, f64) {
                 ("max_boxes", Json::from(max_boxes)),
                 ("boxes_processed", Json::from(boxes)),
                 ("verdict", Json::from(verdicts[0])),
-                ("speedup_8t_vs_sequential", Json::from(speedup)),
+                ("speedup_8t_vs_1t", Json::from(speedup)),
                 ("threads_effective_8t", Json::from(eff_8t)),
                 (
                     "dense_8t_boxes_per_sec_per_core",
-                    Json::from(boxes as f64 / (walls[3].1 / 1e3) / eff_8t as f64),
+                    Json::from(boxes as f64 / (walls[2].1 / 1e3) / eff_8t as f64),
                 ),
             ]
             .into_iter()
@@ -268,8 +246,8 @@ fn e14() -> (Json, f64) {
             .collect::<Vec<_>>(),
         ));
     }
-    let aggregate = total_legacy / total_8t;
-    println!("\naggregate speedup (Σ legacy_seq / Σ dense_8t): {aggregate:.2}x");
+    let aggregate = total_1t / total_8t;
+    println!("\naggregate speedup (Σ dense_1t / Σ dense_8t): {aggregate:.2}x");
     (Json::arr(rows), aggregate)
 }
 
@@ -337,28 +315,12 @@ fn e15(baseline_path: &str) -> (Json, f64, Option<f64>) {
         };
         let configs = [
             (
-                "recompute_1t",
-                ProductSolverOptions {
-                    subdivision: SubdivisionMode::Recompute,
-                    threads: 1,
-                    ..base
-                },
-            ),
-            (
                 "incremental_1t",
-                ProductSolverOptions {
-                    subdivision: SubdivisionMode::Incremental,
-                    threads: 1,
-                    ..base
-                },
+                ProductSolverOptions { threads: 1, ..base },
             ),
             (
                 "incremental_8t",
-                ProductSolverOptions {
-                    subdivision: SubdivisionMode::Incremental,
-                    threads: 8,
-                    ..base
-                },
+                ProductSolverOptions { threads: 8, ..base },
             ),
         ];
         let mut cells = Vec::new();
@@ -381,10 +343,10 @@ fn e15(baseline_path: &str) -> (Json, f64, Option<f64>) {
         }
         assert!(
             verdicts.iter().all(|v| *v == verdicts[0]),
-            "{name}: subdivision engines must agree"
+            "{name}: thread counts must agree"
         );
-        let inc_1t = cells[1].1;
-        let inc_8t = cells[2].1;
+        let inc_1t = cells[0].1;
+        let inc_8t = cells[1].1;
         let boxes_per_sec_1t = boxes as f64 / (inc_1t / 1e3);
         total_boxes += boxes as f64;
         total_secs += inc_1t / 1e3;
@@ -1110,8 +1072,7 @@ fn pr5_e15_baseline(path: &str) -> Option<f64> {
 /// E20 — the PR 10 tentpole measurement: single-core boxes/sec on the
 /// adversarial hard family through the batched SoA wave sweep, under the
 /// forced-scalar kernels and under the build's best ISA, against the
-/// box-at-a-time path (`wave_batch: false`, the PR 5 shape) and against
-/// the committed `BENCH_PR5.json` aggregate. Acceptance: the batched
+/// committed `BENCH_PR5.json` aggregate. Acceptance: the batched
 /// best-ISA aggregate reaches ≥ 1.5x the PR 5 recording. With threads=1
 /// the run pins one core, so every boxes/sec figure here *is* the
 /// per-core figure the bench gate consumes.
@@ -1128,19 +1089,13 @@ fn e20(pr5_path: &str) -> (Json, f64, f64) {
     let mut total_boxes = 0.0f64;
     let mut secs_scalar = 0.0f64;
     let mut secs_active = 0.0f64;
-    let mut secs_unbatched = 0.0f64;
     for (name, cube, a, b, max_boxes) in e15_instances() {
         let batched = ProductSolverOptions {
             max_boxes,
             coordinate_ascent: false,
             sos_fallback: false,
-            subdivision: SubdivisionMode::Incremental,
             threads: 1,
             ..Default::default()
-        };
-        let unbatched = ProductSolverOptions {
-            wave_batch: false,
-            ..batched
         };
         // Forced-scalar batched: what a no-`simd` build measures.
         subdivision::force_isa(Some(subdivision::Isa::Scalar));
@@ -1149,37 +1104,28 @@ fn e20(pr5_path: &str) -> (Json, f64, f64) {
             let _ = decide_product_safety(&cube, &a, &b, batched);
         });
         subdivision::force_isa(None);
-        // Best-ISA batched (the tentpole) and best-ISA unbatched (the
-        // PR 5 evaluation shape on today's kernels).
+        // Best-ISA batched (the tentpole).
         let (v_active, _) = decide_product_safety(&cube, &a, &b, batched);
         let wall_active = time_ms(|| {
             let _ = decide_product_safety(&cube, &a, &b, batched);
         });
-        let (v_unbatched, _) = decide_product_safety(&cube, &a, &b, unbatched);
-        let wall_unbatched = time_ms(|| {
-            let _ = decide_product_safety(&cube, &a, &b, unbatched);
-        });
         assert!(
-            verdict_tag(&v_scalar) == verdict_tag(&v_active)
-                && verdict_tag(&v_active) == verdict_tag(&v_unbatched),
-            "{name}: ISA and batching must not change the verdict"
+            verdict_tag(&v_scalar) == verdict_tag(&v_active),
+            "{name}: ISA must not change the verdict"
         );
         let boxes = stats.boxes_processed;
         total_boxes += boxes as f64;
         secs_scalar += wall_scalar / 1e3;
         secs_active += wall_active / 1e3;
-        secs_unbatched += wall_unbatched / 1e3;
         let bps = |wall_ms: f64| boxes as f64 / (wall_ms / 1e3);
         println!(
-            "{name} (n={}, {} boxes, {}): scalar={:.0} {}={:.0} unbatched_{}={:.0} boxes/sec",
+            "{name} (n={}, {} boxes, {}): scalar={:.0} {}={:.0} boxes/sec",
             cube.dims(),
             boxes,
             verdict_tag(&v_active),
             bps(wall_scalar),
             active.label(),
             bps(wall_active),
-            active.label(),
-            bps(wall_unbatched),
         );
         rows.push(Json::obj([
             ("instance", Json::from(name.as_str())),
@@ -1191,21 +1137,13 @@ fn e20(pr5_path: &str) -> (Json, f64, f64) {
                 "batched_best_isa_boxes_per_sec",
                 Json::from(bps(wall_active)),
             ),
-            (
-                "unbatched_best_isa_boxes_per_sec",
-                Json::from(bps(wall_unbatched)),
-            ),
         ]));
     }
     let scalar_bps = total_boxes / secs_scalar;
     let active_bps = total_boxes / secs_active;
-    let unbatched_bps = total_boxes / secs_unbatched;
     println!(
-        "\naggregate 1t: batched_scalar={scalar_bps:.0} batched_{}={active_bps:.0} \
-         unbatched_{}={unbatched_bps:.0} boxes/sec (batching buys {:.2}x)",
+        "\naggregate 1t: batched_scalar={scalar_bps:.0} batched_{}={active_bps:.0} boxes/sec",
         active.label(),
-        active.label(),
-        active_bps / unbatched_bps
     );
     let mut fields = vec![
         ("kernels", kernel_rows),
@@ -1220,11 +1158,6 @@ fn e20(pr5_path: &str) -> (Json, f64, f64) {
             "batched_best_isa_boxes_per_sec_per_core_1t",
             Json::from(active_bps),
         ),
-        (
-            "unbatched_best_isa_boxes_per_sec_per_core_1t",
-            Json::from(unbatched_bps),
-        ),
-        ("batching_speedup", Json::from(active_bps / unbatched_bps)),
     ];
     if let Some(pr5) = pr5_e15_baseline(pr5_path) {
         let speedup = active_bps / pr5;
@@ -1253,14 +1186,6 @@ fn main() {
     println!("available_parallelism={cores}");
 
     let e8_configs: Vec<(&str, ProductSolverOptions)> = vec![
-        (
-            "legacy_seq",
-            ProductSolverOptions {
-                dense_kernel: false,
-                threads: 1,
-                ..Default::default()
-            },
-        ),
         (
             "dense_1t",
             ProductSolverOptions {
@@ -1297,11 +1222,11 @@ fn main() {
         (
             "note",
             Json::from(
-                "baseline legacy_seq is the pre-engine solver (BTreeMap rational gap \
-                 assembly, one thread); E15 compares the incremental Bernstein \
-                 subdivision engine against recompute-per-box and the committed \
-                 BENCH_PR2.json dense_1t numbers. On a single-core container the \
-                 thread sweep is flat and all speedup is algorithmic; allocs/box is \
+                "E8, E12 and E14 time the one solver engine across thread counts (the \
+                 retired legacy_seq, recompute and box-at-a-time arms stay in the \
+                 BENCH_PR2/5/10 recordings); E15 compares the incremental Bernstein \
+                 subdivision engine against the committed BENCH_PR2.json dense_1t \
+                 numbers. On a single-core container the thread sweep is flat; allocs/box is \
                  measured by the counting global allocator over a warm (second) solve. \
                  E16 measures end-to-end disclosure throughput with the write-ahead \
                  disclosure log off (volatile), group-committed every 100ms, and \
@@ -1320,8 +1245,7 @@ fn main() {
                  the denial phase. E20 sweeps the four Bernstein microkernels \
                  (ns/element, scalar vs every ISA the build and CPU provide) and \
                  measures single-core batched-wave throughput on the adversarial \
-                 family against the box-at-a-time path and the committed \
-                 BENCH_PR5.json aggregate; the bench_gate_baseline fields are the \
+                 family against the committed BENCH_PR5.json aggregate; the bench_gate_baseline fields are the \
                  per-core boxes/sec the CI gate compares against, one per feature \
                  configuration (threads=1, so per-core equals aggregate)",
             ),
@@ -1329,7 +1253,7 @@ fn main() {
         ("e8", e8_json),
         ("e12", e12_json),
         ("e14", e14_json),
-        ("e14_aggregate_speedup_8t", Json::from(aggregate)),
+        ("e14_aggregate_speedup_8t_vs_1t", Json::from(aggregate)),
         ("e15", e15_json),
         ("e15_aggregate_boxes_per_sec_1t", Json::from(e15_bps)),
         ("e16", e16_json),

@@ -3,7 +3,7 @@
 //! The decision procedures this workspace runs — branch-and-bound over
 //! the unit box (§6.1), batch audits, exhaustive theorem sweeps — are
 //! all fan-out-heavy and CPU-bound, but the build environment is
-//! offline, so no rayon. This crate provides the three primitives the
+//! offline, so no rayon. This crate provides the two primitives the
 //! rest of the workspace needs, over nothing but `std::thread`:
 //!
 //! * [`Pool::scope`] — a scoped work-stealing task pool: spawn
@@ -13,9 +13,6 @@
 //! * [`Pool::parallel_map`] — order-preserving data parallelism over a
 //!   slice, with steal-half range stealing so uneven item costs (easy
 //!   vs hard solver instances) don't serialize the tail.
-//! * [`BestFirstQueue`] — a blocking priority queue with termination
-//!   detection, for best-first branch-and-bound where workers both
-//!   consume and produce boxes.
 //!
 //! Around them, two allocation-discipline helpers: [`BufferPool`] and
 //! the thread-local scratch shelf ([`take_scratch_f64`]) recycle the
@@ -42,9 +39,8 @@
 //! * **Poison recovery** — internal locks recover from poisoning (the
 //!   guarded state is always updated atomically under the lock), so one
 //!   panicking task cannot wedge subsequent calls.
-//! * **Deadlines** — [`Pool::parallel_map_deadline`] and
-//!   [`BestFirstQueue::pop_deadline`] stop cooperatively at item
-//!   boundaries when a [`Deadline`] expires or its [`CancelToken`]
+//! * **Deadlines** — [`Pool::parallel_map_deadline`] stops cooperatively
+//!   at item boundaries when a [`Deadline`] expires or its [`CancelToken`]
 //!   fires, returning [`StopReason`] instead of hanging.
 
 #![forbid(unsafe_code)]
@@ -52,7 +48,6 @@
 mod arena;
 mod chunk;
 mod map;
-mod queue;
 mod scope;
 mod stats;
 
@@ -62,7 +57,6 @@ pub use arena::{
 };
 pub use chunk::{ChunkPolicy, MIN_WAVE_ENV};
 pub use epi_core::{CancelToken, Deadline, StopReason};
-pub use queue::{BestFirstQueue, OrdF64};
 pub use scope::Scope;
 pub use stats::{record_batch_sweep, record_soa_staged_bytes, stats, StatsSnapshot};
 

@@ -8,8 +8,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 static TASKS: AtomicU64 = AtomicU64::new(0);
 static STEALS: AtomicU64 = AtomicU64::new(0);
 static MAPS: AtomicU64 = AtomicU64::new(0);
-static QUEUE_WAITS: AtomicU64 = AtomicU64::new(0);
-static QUEUE_WAIT_MICROS: AtomicU64 = AtomicU64::new(0);
 static ARENA_CHECKOUTS: AtomicU64 = AtomicU64::new(0);
 static ARENA_MISSES: AtomicU64 = AtomicU64::new(0);
 static ARENA_HIGH_WATER_BYTES: AtomicU64 = AtomicU64::new(0);
@@ -27,12 +25,6 @@ pub struct StatsSnapshot {
     pub steals: u64,
     /// `parallel_map` calls that actually fanned out (> 1 worker).
     pub parallel_maps: u64,
-    /// Best-first queue pops that had to block for work.
-    pub queue_waits: u64,
-    /// Total microseconds spent blocked in best-first queue pops — the
-    /// starvation signal: high wait with low steals means the search
-    /// front is too narrow for the worker count.
-    pub queue_wait_micros: u64,
     /// Arena buffer checkouts (pooled tensors/boxes + thread scratch).
     pub arena_checkouts: u64,
     /// Checkouts that had to allocate — a warm hot path keeps this flat
@@ -45,7 +37,7 @@ pub struct StatsSnapshot {
     /// Frontier waves the chunk policy fanned out across workers.
     pub waves_parallel: u64,
     /// Batched structure-of-arrays kernel sweeps over wave chunks (the
-    /// solver's vectorized wave path; flat when `wave_batch` is off).
+    /// solver's vectorized wave path).
     pub batch_sweeps: u64,
     /// High-water mark of bytes staged in structure-of-arrays wave
     /// buffers (survivor indices plus probe results) across all chunks.
@@ -58,8 +50,6 @@ pub fn stats() -> StatsSnapshot {
         tasks_executed: TASKS.load(Ordering::Relaxed),
         steals: STEALS.load(Ordering::Relaxed),
         parallel_maps: MAPS.load(Ordering::Relaxed),
-        queue_waits: QUEUE_WAITS.load(Ordering::Relaxed),
-        queue_wait_micros: QUEUE_WAIT_MICROS.load(Ordering::Relaxed),
         arena_checkouts: ARENA_CHECKOUTS.load(Ordering::Relaxed),
         arena_misses: ARENA_MISSES.load(Ordering::Relaxed),
         arena_high_water_bytes: ARENA_HIGH_WATER_BYTES.load(Ordering::Relaxed),
@@ -90,11 +80,6 @@ pub(crate) fn record_steal() {
 
 pub(crate) fn record_map() {
     MAPS.fetch_add(1, Ordering::Relaxed);
-}
-
-pub(crate) fn record_queue_wait(micros: u64) {
-    QUEUE_WAITS.fetch_add(1, Ordering::Relaxed);
-    QUEUE_WAIT_MICROS.fetch_add(micros, Ordering::Relaxed);
 }
 
 pub(crate) fn record_arena_checkout(miss: bool) {

@@ -256,8 +256,6 @@ impl Metrics {
             pool_workers: epi_par::Pool::global().threads() as u64,
             pool_tasks: epi_par::stats().tasks_executed,
             pool_steals: epi_par::stats().steals,
-            pool_queue_waits: epi_par::stats().queue_waits,
-            pool_queue_wait_micros: epi_par::stats().queue_wait_micros,
             pool_arena_checkouts: epi_par::stats().arena_checkouts,
             pool_arena_misses: epi_par::stats().arena_misses,
             pool_arena_high_water_bytes: epi_par::stats().arena_high_water_bytes,
@@ -379,11 +377,6 @@ pub struct Snapshot {
     pub pool_tasks: u64,
     /// Work-stealing events in the solver pool (process lifetime).
     pub pool_steals: u64,
-    /// Best-first queue pops that had to block for work (process
-    /// lifetime) — the solver-pool starvation signal.
-    pub pool_queue_waits: u64,
-    /// Total microseconds those pops spent blocked (process lifetime).
-    pub pool_queue_wait_micros: u64,
     /// Solver arena buffer checkouts (process lifetime).
     pub pool_arena_checkouts: u64,
     /// Arena checkouts that had to allocate — flat while `checkouts`
@@ -557,16 +550,6 @@ impl Snapshot {
             "epi_pool_steals_total",
             "Work-stealing events in the solver pool.",
             self.pool_steals,
-        );
-        counter(
-            "epi_pool_queue_waits_total",
-            "Best-first queue pops that blocked for work.",
-            self.pool_queue_waits,
-        );
-        counter(
-            "epi_pool_queue_wait_micros_total",
-            "Microseconds best-first queue pops spent blocked.",
-            self.pool_queue_wait_micros,
         );
         counter(
             "epi_pool_arena_checkouts_total",
@@ -904,11 +887,6 @@ impl Serialize for Snapshot {
             ("pool_workers", Json::from(self.pool_workers)),
             ("pool_tasks", Json::from(self.pool_tasks)),
             ("pool_steals", Json::from(self.pool_steals)),
-            ("pool_queue_waits", Json::from(self.pool_queue_waits)),
-            (
-                "pool_queue_wait_micros",
-                Json::from(self.pool_queue_wait_micros),
-            ),
             (
                 "pool_arena_checkouts",
                 Json::from(self.pool_arena_checkouts),
@@ -1004,9 +982,6 @@ impl Deserialize for Snapshot {
             pool_workers: opt_field(v, "pool_workers")?.unwrap_or(0),
             pool_tasks: opt_field(v, "pool_tasks")?.unwrap_or(0),
             pool_steals: opt_field(v, "pool_steals")?.unwrap_or(0),
-            // Absent in snapshots from pre-tracing daemons.
-            pool_queue_waits: opt_field(v, "pool_queue_waits")?.unwrap_or(0),
-            pool_queue_wait_micros: opt_field(v, "pool_queue_wait_micros")?.unwrap_or(0),
             // Absent in snapshots from pre-arena daemons.
             pool_arena_checkouts: opt_field(v, "pool_arena_checkouts")?.unwrap_or(0),
             pool_arena_misses: opt_field(v, "pool_arena_misses")?.unwrap_or(0),
@@ -1119,8 +1094,6 @@ mod tests {
                         | "pool_workers"
                         | "pool_tasks"
                         | "pool_steals"
-                        | "pool_queue_waits"
-                        | "pool_queue_wait_micros"
                         | "pool_arena_checkouts"
                         | "pool_arena_misses"
                         | "pool_arena_high_water_bytes"
@@ -1175,6 +1148,14 @@ mod tests {
         assert_eq!(back.budget_spent_high_water_micros, 0);
         assert_eq!(back.risk_count, 0);
         assert_eq!(back.risk_buckets, vec![0; RISK_BUCKETS]);
+
+        // A daemon from before the best-first queue was retired also
+        // sent two pool-queue counters; their keys are ignored.
+        if let Json::Obj(fields) = &mut v {
+            fields.push(("pool_queue_waits".into(), Json::from(7u64)));
+            fields.push(("pool_queue_wait_micros".into(), Json::from(31_000u64)));
+        }
+        assert_eq!(Snapshot::from_json(&v).unwrap(), back);
     }
 
     #[test]
@@ -1286,8 +1267,6 @@ mod tests {
         snap.trace_spans = 12;
         snap.trace_dropped = 4;
         snap.slow_decisions = 2;
-        snap.pool_queue_waits = 7;
-        snap.pool_queue_wait_micros = 31_000;
         // …and these from the disclosure log.
         snap.wal_appends = 40;
         snap.wal_bytes = 4_096;
@@ -1315,7 +1294,6 @@ mod tests {
         assert_eq!(back.drain_micros, 81_000);
         assert_eq!(back.trace_spans, 12);
         assert_eq!(back.slow_decisions, 2);
-        assert_eq!(back.pool_queue_wait_micros, 31_000);
         assert_eq!(back.wal_appends, 40);
         assert_eq!(back.recovery_replayed_records, 25);
         assert_eq!(back.budget_exhausted_denials, 3);
@@ -1354,8 +1332,6 @@ mod tests {
             "epi_backpressure_stalls_total",
             "epi_pool_tasks_total",
             "epi_pool_steals_total",
-            "epi_pool_queue_waits_total",
-            "epi_pool_queue_wait_micros_total",
             "epi_pool_arena_checkouts_total",
             "epi_pool_arena_misses_total",
             "epi_pool_waves_sequential_total",

@@ -37,6 +37,6 @@ pub use pipeline::{
 };
 pub use product::{
     decide_product_safety, decide_product_safety_deadline, ProductSolverOptions,
-    ProductSolverStats, ProductWitness, SearchMode, SubdivisionMode,
+    ProductSolverStats, ProductWitness,
 };
 pub use verdict::{SafeEvidence, UndecidedReason, Verdict};

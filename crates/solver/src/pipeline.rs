@@ -87,8 +87,8 @@ pub struct PipelineDecision {
     /// decided) — the service aggregates this into its throughput
     /// metrics.
     pub boxes_processed: usize,
-    /// Frontier waves the deterministic branch-and-bound committed (0
-    /// when an earlier stage decided or the opportunistic search ran).
+    /// Frontier waves the branch-and-bound committed (0 when an earlier
+    /// stage decided).
     pub waves: usize,
     /// Set iff `verdict` is `Unknown`: why the decision gave up.
     /// Deadline/cancellation stops are transient; budget exhaustion is a
@@ -485,6 +485,41 @@ mod tests {
             .safety_gap(&a, &a);
         assert_eq!(gap, w.gap);
         assert!(w.gap.is_negative());
+    }
+
+    #[test]
+    fn wide_supports_fail_closed_without_exhausting_memory() {
+        // The Remark 5.12 pair with A lifted onto every further record:
+        // safe, with a gap that vanishes on an interior surface, so
+        // subdivision alone never closes it. The SOS fallback's program
+        // is too large to assemble at either width. At 6 records the box
+        // budget then ends the search; at 11 the frontier's tensors
+        // outgrow their budget first.
+        for (n, max_boxes) in [(6usize, 513), (11, 20_000)] {
+            let cube = Cube::new(n);
+            let rest = ((1u32 << n) - 1) & !0b111;
+            let a = cube.set_from_predicate(|w| {
+                [0b011, 0b100, 0b110, 0b111].contains(&(w & 0b111)) && w & rest == rest
+            });
+            let b =
+                cube.set_from_predicate(|w| [0b010, 0b101, 0b110, 0b111].contains(&(w & 0b111)));
+            let options = ProductSolverOptions {
+                max_boxes,
+                ..Default::default()
+            };
+            let d = decide_product_pipeline(&cube, &a, &b, options);
+            assert!(d.verdict.is_unknown(), "n = {n}: {:?}", d.verdict);
+            assert_eq!(
+                d.undecided,
+                Some(UndecidedReason::BudgetExhausted),
+                "n = {n}"
+            );
+            assert_eq!(d.support_dims, n);
+            assert!(d.boxes_processed > 512, "n = {n}: SOS fallback reached");
+            if n == 11 {
+                assert!(d.boxes_processed < max_boxes, "n = 11 stops on tensors");
+            }
+        }
     }
 
     #[test]

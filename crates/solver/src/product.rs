@@ -16,15 +16,14 @@
 //!   routinely attain `gap = 0` on faces of the box (e.g. whenever some
 //!   `pᵢ` hits 0 or 1), where box bounds approach 0 only in the limit.
 //!
-//! The default Bernstein bounds are computed in plain `f64`, not with
-//! outward rounding. The gap polynomial has *integer* coefficients (sums
-//! of ±1 products), and the Bernstein conversion and de Casteljau halving
-//! only divide by 2 or 4, so every coefficient stays exact while its
+//! The Bernstein bounds are computed in plain `f64`, not with outward
+//! rounding. The gap polynomial has *integer* coefficients (sums of ±1
+//! products), and the Bernstein conversion and de Casteljau halving only
+//! divide by 2 or 4, so every coefficient stays exact while its
 //! significand fits in 53 bits. Nothing checks that bound yet: deep
-//! subdivision of a large-magnitude gap could round silently. Only the
-//! [`BoundMethod::Interval`] ablation uses outward-rounded intervals.
+//! subdivision of a large-magnitude gap could round silently.
 //!
-//! By default the gap is assembled through the dense multilinear kernel
+//! The gap is assembled through the dense multilinear kernel
 //! ([`epi_poly::indicator::safety_gap_pow3`]), which lands directly in the
 //! Bernstein tensor layout; the exact rational copy used to verify
 //! witnesses is built lazily, only when a violation candidate actually
@@ -35,38 +34,47 @@
 //! the records it depends on and calls in at that narrower width; calling
 //! [`decide_product_safety`] directly does not project.
 //!
-//! # Parallel search
+//! # Search
 //!
-//! The branch-and-bound runs on the [`epi_par`] engine in one of two modes:
-//!
-//! * [`SearchMode::Deterministic`] (default) — *wave-synchronous*: the
-//!   frontier of open boxes is evaluated in parallel (a pure function of
-//!   the box), then committed **sequentially in frontier order** — budget
-//!   accounting, the SOS checkpoint, pruning, witness acceptance, splits.
-//!   Because parallelism only changes *who evaluates* a box and never the
-//!   commit order, the verdict, witness and statistics are byte-for-byte
-//!   identical at every thread count; one thread *is* the sequential
-//!   solver.
-//! * [`SearchMode::Opportunistic`] — best-first work stealing: workers pop
-//!   the most promising box (lowest inherited bound) from a shared
-//!   priority queue, share the best-known violation and the global box
-//!   budget through atomics, and the first rigorously verified witness
-//!   terminates everyone. Faster to a refutation, but which witness is
-//!   found (and the box count) may vary run to run.
+//! Every open box carries the Bernstein coefficients of the gap
+//! restricted to it; a split halves them by de Casteljau, so each child
+//! costs `O(3ⁿ)` and no box is re-derived from the root. The search is
+//! *wave-synchronous*: the frontier of open boxes is evaluated in
+//! parallel through batched structure-of-arrays kernel sweeps (a pure
+//! function of each box), then committed **sequentially in frontier
+//! order** — budget accounting, the SOS checkpoint, pruning, witness
+//! acceptance, splits. Because parallelism only changes *who evaluates*
+//! a box and never the commit order, the verdict, witness and statistics
+//! are byte-for-byte identical at every thread count; one thread *is*
+//! the sequential solver.
 //!
 //! A coordinate-ascent warm start (the gap restricted to one coordinate is
 //! a quadratic, minimized in closed form) finds most violations before any
 //! splitting happens; the ablation benchmark `e8_product_solver` measures
 //! its effect.
+//!
+//! # Limits
+//!
+//! Every limit fails closed with `Unknown` and
+//! [`UndecidedReason::BudgetExhausted`], a property of the instance alone:
+//!
+//! * the box budget ([`ProductSolverOptions::max_boxes`]);
+//! * the tensor budget: before each wave, the frontier's tensors plus two
+//!   children per evaluated box must fit in 768 MiB — at `n = 12` one
+//!   tensor is 4.25 MB;
+//! * supports wider than [`DensePow3::MAX_ARITY`] (12) records, refused
+//!   before anything is allocated.
+//!
+//! The SOS fallback refuses programs whose dense constraint matrices
+//! would exceed 64 MiB (see [`epi_sos::WeightedSosProgram::solve`]).
 
-use crate::bernstein::{bernstein_bound, DenseTensor};
 use crate::verdict::{SafeEvidence, UndecidedReason, Verdict};
 use epi_boolean::Cube;
 use epi_core::{Deadline, StopReason, WorldSet};
 use epi_num::{Interval, Rational};
 use epi_par::{give_scratch_f64, take_scratch_f64, BufferPool, ChunkPolicy, Pool};
 use epi_poly::{indicator, subdivision, DensePow3, Polynomial};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 /// A rigorous refutation: a rational product prior with a strictly
@@ -79,64 +87,9 @@ pub struct ProductWitness {
     pub gap: Rational,
 }
 
-/// The box-bounding method used by the branch-and-bound.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum BoundMethod {
-    /// Bernstein coefficient enclosures (default): exact at box corners,
-    /// so the ubiquitous face zeros of safe gap polynomials certify
-    /// immediately, and vertex minima yield exact corner witnesses.
-    Bernstein,
-    /// Outward-rounded interval arithmetic — the ablation baseline; its
-    /// `O(width²)` slack cannot close boxes adjacent to gap zeros, so only
-    /// small or strictly-signed instances terminate.
-    Interval,
-}
-
-/// How the branch-and-bound explores the frontier (see module docs).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SearchMode {
-    /// Wave-synchronous breadth-first search: parallel box evaluation,
-    /// sequential in-order commits. Verdicts and statistics are
-    /// reproducible byte-for-byte at any thread count.
-    Deterministic,
-    /// Best-first work stealing with early termination on the first
-    /// verified witness. Nondeterministic witness identity/box counts.
-    Opportunistic,
-}
-
-/// How the Bernstein branch-and-bound derives a child box's coefficient
-/// tensor (see DESIGN.md §"Incremental subdivision kernel").
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SubdivisionMode {
-    /// Incremental when the in-flight tensor memory fits a fixed budget,
-    /// recompute otherwise (default). At `n = 12` a single tensor is
-    /// 4.25 MB, so carrying one per frontier box is only a win while the
-    /// frontier fits in memory.
-    Auto,
-    /// Always carry per-box Bernstein tensors, halved in place by
-    /// de Casteljau on split — `O(3ⁿ)` per child, allocation-free.
-    Incremental,
-    /// Always re-derive each box from the root tensor
-    /// (`restrict_to_box` + basis change, `O(n·3ⁿ)` plus two
-    /// allocations) — the pre-incremental baseline, kept for ablations.
-    Recompute,
-}
-
-impl SubdivisionMode {
-    /// Whether the incremental engine should run for this instance.
-    /// `Auto` bounds the worst-case in-flight tensor bytes — frontier,
-    /// next wave and pooled spares, ≈ 3 budgets' worth — by 768 MiB.
-    fn incremental(self, n: usize, max_boxes: usize) -> bool {
-        match self {
-            SubdivisionMode::Recompute => false,
-            SubdivisionMode::Incremental => true,
-            SubdivisionMode::Auto => {
-                let tensor_bytes = 3usize.pow(n as u32).saturating_mul(8);
-                tensor_bytes.saturating_mul(max_boxes.saturating_mul(3)) <= (768 << 20)
-            }
-        }
-    }
-}
+/// Bytes of Bernstein tensors a search may have in flight; a wave that
+/// could exceed it stops the search with `Unknown` (see module docs).
+const TENSOR_BUDGET_BYTES: usize = 768 << 20;
 
 /// Options for [`decide_product_safety`].
 #[derive(Clone, Copy, Debug)]
@@ -149,8 +102,6 @@ pub struct ProductSolverOptions {
     /// Run the coordinate-ascent violation search before splitting
     /// (ablation toggle).
     pub coordinate_ascent: bool,
-    /// Box-bounding method (ablation toggle).
-    pub bound_method: BoundMethod,
     /// On box-budget exhaustion, attempt a sum-of-squares box certificate
     /// (Section 6.2) before giving up — the paper's heuristic, decisive for
     /// safe instances whose gap vanishes on interior surfaces (e.g. the
@@ -159,31 +110,18 @@ pub struct ProductSolverOptions {
     /// Worker threads for the box search; `0` means the [`epi_par`]
     /// default (`EPI_PAR_THREADS` or the machine's parallelism).
     pub threads: usize,
-    /// Frontier exploration strategy.
-    pub search_mode: SearchMode,
-    /// Assemble the gap through the dense multilinear kernel (default).
-    /// `false` reinstates the sparse `BTreeMap` construction — the
-    /// pre-kernel baseline, kept for ablations and the E14 benchmark.
-    pub dense_kernel: bool,
     /// Minimum frontier-wave size worth fanning out across workers; `0`
     /// means auto (`EPI_PAR_MIN_WAVE`, else a machine-derived default
     /// that never fans out on a single-core host). Waves below the
     /// threshold run inline, so thread-spawn overhead can't make the
     /// parallel solver slower than the sequential one.
     pub min_wave: usize,
-    /// Child-tensor derivation strategy for the Bernstein search.
-    pub subdivision: SubdivisionMode,
     /// Cache-block (tile) length for the Bernstein kernel sweeps; `0`
     /// means the compile-time [`subdivision::auto_tile`] table. Values
     /// round down to a power of 3; below 27 or at least the tensor
     /// length runs untiled. Results are bit-identical at any block size,
     /// so this is a throughput knob only.
     pub kernel_block: usize,
-    /// Batch each deterministic wave's same-shape tensors through the
-    /// structure-of-arrays kernel sweep (default). `false` reinstates
-    /// the box-at-a-time evaluation — the PR 5 baseline, kept for
-    /// ablations; verdicts and statistics are identical either way.
-    pub wave_batch: bool,
 }
 
 impl Default for ProductSolverOptions {
@@ -192,15 +130,10 @@ impl Default for ProductSolverOptions {
             margin: 1e-9,
             max_boxes: 20_000,
             coordinate_ascent: true,
-            bound_method: BoundMethod::Bernstein,
             sos_fallback: true,
             threads: 0,
-            search_mode: SearchMode::Deterministic,
-            dense_kernel: true,
             min_wave: 0,
-            subdivision: SubdivisionMode::Auto,
             kernel_block: 0,
-            wave_batch: true,
         }
     }
 }
@@ -212,7 +145,7 @@ pub struct ProductSolverStats {
     pub boxes_processed: usize,
     /// Whether the witness came from the warm start (vs. box midpoints).
     pub witness_from_ascent: bool,
-    /// Frontier waves committed (deterministic mode; 0 for opportunistic).
+    /// Frontier waves committed.
     pub waves: usize,
     /// Set iff the verdict is `Unknown`: why the search gave up. Callers
     /// must treat any `Unknown` as unsafe regardless of the reason.
@@ -239,27 +172,21 @@ impl<'a> LazyExactGap<'a> {
         }
     }
 
-    fn prefilled(n: usize, a: &'a WorldSet, b: &'a WorldSet, p: Polynomial<Rational>) -> Self {
-        let cell = OnceLock::new();
-        let _ = cell.set(p);
-        LazyExactGap { n, a, b, cell }
-    }
-
     fn get(&self) -> &Polynomial<Rational> {
         self.cell
             .get_or_init(|| indicator::safety_gap_polynomial::<Rational>(self.n, self.a, self.b))
     }
 }
 
-/// Recycled `3ⁿ` coefficient tensors for the incremental engine; child
-/// tensors are filled by workers and returned when their box is pruned.
+/// Recycled `3ⁿ` coefficient tensors; child tensors are filled by
+/// workers and returned when their box is pruned.
 static BERN_POOL: BufferPool<f64> = BufferPool::new();
 /// Recycled `n`-length box vectors.
 static BOX_POOL: BufferPool<Interval> = BufferPool::new();
 /// Recycled structure-of-arrays staging buffers for the batched wave
-/// path: per-survivor midpoint probe values.
+/// sweeps: per-survivor midpoint probe values.
 static STAGE_POOL: BufferPool<f64> = BufferPool::new();
-/// Recycled index buffers for the batched wave path: survivor indices
+/// Recycled index buffers for the batched wave sweeps: survivor indices
 /// and staged split axes.
 static IDX_POOL: BufferPool<u32> = BufferPool::new();
 
@@ -268,15 +195,12 @@ struct SolveCtx<'a> {
     options: ProductSolverOptions,
     /// Arity of the gap polynomial.
     n: usize,
-    /// Bernstein tensor of the gap (present in Bernstein mode).
-    tensor: Option<DenseTensor>,
-    /// Sparse gap (present in Interval mode or legacy construction).
-    sparse: Option<Polynomial<f64>>,
-    /// Dense base-3 gap (dense construction; source for a late sparse).
-    pow3: Option<DensePow3<f64>>,
-    /// Bernstein coefficients of the gap over the unit box — the root of
-    /// the incremental subdivision engine (`None` ⟹ recompute per box).
-    root_bern: Option<Vec<f64>>,
+    /// The gap in the dense power basis: point evaluation for the warm
+    /// start, and the source of the SOS fallback's sparse form.
+    pow3: DensePow3<f64>,
+    /// Bernstein coefficients of the gap over the unit box — the root
+    /// node's tensor.
+    root_bern: Vec<f64>,
     /// Precomputed `(tensor index, corner mask)` of every vertex
     /// coefficient, for the free rigorous witness scan.
     vertices: Vec<(usize, u32)>,
@@ -289,96 +213,50 @@ struct SolveCtx<'a> {
 }
 
 impl SolveCtx<'_> {
-    /// Derive the root Bernstein tensor and vertex table when the
-    /// subdivision strategy elects the incremental engine.
-    fn prepare_incremental(&mut self) {
-        let Some(tensor) = &self.tensor else { return };
-        if !self
-            .options
-            .subdivision
-            .incremental(self.n, self.options.max_boxes)
-        {
-            return;
-        }
-        self.root_bern = Some(tensor.bernstein_coefficients());
-        self.vertices = (0..1u32 << self.n)
-            .map(|mask| (subdivision::vertex_index(self.n, mask), mask))
-            .collect();
-    }
-
-    /// Point evaluation of the gap, through whichever dense form exists.
-    /// The dense path contracts axis by axis — `O(3ⁿ)` with recycled
-    /// scratch, versus `O(n·3ⁿ)` per-monomial decoding.
+    /// Point evaluation of the gap: the dense form contracts axis by
+    /// axis — `O(3ⁿ)` with recycled scratch, versus `O(n·3ⁿ)`
+    /// per-monomial decoding.
     fn eval_point(&self, p: &[f64]) -> f64 {
-        match (&self.tensor, &self.sparse) {
-            (Some(t), _) => {
-                let mut scratch = take_scratch_f64(t.coeffs().len());
-                let v = subdivision::eval_pow3(t.coeffs(), t.arity(), p, &mut scratch);
-                give_scratch_f64(scratch);
-                v
-            }
-            (None, Some(s)) => s.eval_f64(p),
-            (None, None) => unreachable!("no gap representation"),
-        }
-    }
-
-    /// The sparse gap, building it from the dense form on demand (only
-    /// the SOS fallback needs it outside Interval mode).
-    fn sparse_gap(&self) -> Polynomial<f64> {
-        if let Some(s) = &self.sparse {
-            return s.clone();
-        }
-        self.pow3
-            .as_ref()
-            .expect("dense construction retains pow3")
-            .to_polynomial()
+        let mut scratch = take_scratch_f64(self.pow3.coeffs().len());
+        let v = subdivision::eval_pow3(self.pow3.coeffs(), self.n, p, &mut scratch);
+        give_scratch_f64(scratch);
+        v
     }
 }
 
-/// An open box on the search frontier. In the incremental engine `bern`
-/// carries the Bernstein coefficients of the gap restricted to `bx`
-/// (exactly maintained by de Casteljau halving); otherwise it is empty
-/// and bounds are recomputed from the root per box. Both vectors are
-/// checked out of the process-wide arenas and returned when the box
-/// leaves the search.
+/// An open box on the search frontier. `bern` carries the Bernstein
+/// coefficients of the gap restricted to `bx` (exactly maintained by de
+/// Casteljau halving). Both vectors are checked out of the process-wide
+/// arenas and returned when the box leaves the search.
 struct BoxNode {
     bx: Vec<Interval>,
     bern: Vec<f64>,
     /// Minimum Bernstein coefficient of `bern` — the box's rigorous
     /// lower bound, computed for free by the parent's fused ranged
-    /// halving ([`subdivision::split_halves_min`]) so no per-box range
-    /// scan is needed. `NaN` when unknown (recompute path: `bern`
-    /// empty); `NaN` never satisfies a prune comparison, so an unknown
-    /// bound can only keep a box alive, never discard it.
+    /// halving ([`subdivision::split_halves_min_inplace`]) so no per-box
+    /// range scan is needed.
     min: f64,
 }
 
 /// Return a retired node's buffers to the arenas. Tensors go back
 /// *dirty* (contents and length intact): within a solve every tensor
-/// has the same `3ⁿ` shape, so the next `split_halves_min` resize into
-/// a recycled buffer is a no-op instead of a `3ⁿ` zero-fill memset —
-/// on `n = 9` tensors that memset costs as much as the halving kernel.
+/// has the same `3ⁿ` shape, so the next halving's resize into a recycled
+/// buffer is a no-op instead of a `3ⁿ` zero-fill memset — on `n = 9`
+/// tensors that memset costs as much as the halving kernel.
 fn release_node(node: BoxNode) {
     BOX_POOL.checkin(node.bx);
     BERN_POOL.checkin_dirty(node.bern);
 }
 
-/// The root node: the unit box, with the root Bernstein tensor when the
-/// incremental engine is on.
+/// The root node: the unit box with the root Bernstein tensor.
 fn root_node(ctx: &SolveCtx<'_>) -> BoxNode {
     let mut bx = BOX_POOL.checkout(ctx.n);
     bx.resize(ctx.n, Interval::UNIT);
-    let (bern, min) = match &ctx.root_bern {
-        Some(root) => {
-            let mut buf = BERN_POOL.checkout(root.len());
-            buf.extend_from_slice(root);
-            // The root is the one node without a parent to hand it a
-            // bound; one range scan per solve is noise.
-            let (min, _max) = subdivision::coefficient_range(&buf);
-            (buf, min)
-        }
-        None => (Vec::new(), f64::NAN),
-    };
+    let mut bern = BERN_POOL.checkout(ctx.root_bern.len());
+    bern.extend_from_slice(&ctx.root_bern);
+    // The root is the one node without a parent to hand it a bound; one
+    // range scan per solve is noise.
+    let (min, _max) = subdivision::coefficient_range(&bern);
     BoxNode { bx, bern, min }
 }
 
@@ -389,8 +267,8 @@ enum BoxFate {
     Pruned,
     /// A rigorously verified rational violation.
     Witness(ProductWitness),
-    /// Undecided: split into two children along the split-heuristic
-    /// axis (derivative range when incremental, widest width otherwise).
+    /// Undecided: split into two children along the derivative-range
+    /// axis.
     Split(BoxNode, BoxNode),
 }
 
@@ -410,7 +288,7 @@ pub fn decide_product_safety(
 /// `(Verdict::Unknown, stats)` with [`ProductSolverStats::undecided`]
 /// set once it fires. A timed-out verdict is **not** a safety proof —
 /// callers must fail closed. An unbounded deadline adds no overhead and
-/// preserves byte-for-byte determinism of the default path.
+/// preserves byte-for-byte determinism.
 pub fn decide_product_safety_deadline(
     cube: &Cube,
     a: &WorldSet,
@@ -420,62 +298,35 @@ pub fn decide_product_safety_deadline(
 ) -> (Verdict<ProductWitness>, ProductSolverStats) {
     let n = cube.dims();
     let mut stats = ProductSolverStats::default();
+    if n > DensePow3::<f64>::MAX_ARITY {
+        stats.undecided = Some(UndecidedReason::BudgetExhausted);
+        return (Verdict::Unknown, stats);
+    }
 
-    let assert_zero_alloc =
-        cfg!(debug_assertions) && std::env::var_os("EPI_ASSERT_ZERO_ALLOC").is_some();
-    let dense_ok = options.dense_kernel && n <= DensePow3::<f64>::MAX_ARITY;
-    let mut ctx = if dense_ok {
-        // Dense path: butterfly indicators, product straight into the
-        // base-3 layout, zero-copy hand-off to the Bernstein tensor.
-        // Coefficients are integers, so the f64 arithmetic is exact.
-        let pow3 = indicator::safety_gap_pow3::<f64>(n, a, b);
-        if pow3.coeffs().iter().all(|&c| c == 0.0) {
-            // Independence: gap ≡ 0 (e.g. Miklau–Suciu pairs).
-            return (
-                Verdict::Safe(SafeEvidence::BranchAndBound { boxes_processed: 0 }),
-                stats,
-            );
-        }
-        let tensor = matches!(options.bound_method, BoundMethod::Bernstein)
-            .then(|| DenseTensor::from_dense_pow3(&pow3));
-        let sparse =
-            matches!(options.bound_method, BoundMethod::Interval).then(|| pow3.to_polynomial());
-        SolveCtx {
-            options,
-            n,
-            tensor,
-            sparse,
-            pow3: Some(pow3),
-            root_bern: None,
-            vertices: Vec::new(),
-            assert_zero_alloc,
-            exact: LazyExactGap::new(n, a, b),
-        }
-    } else {
-        // Legacy path: sparse construction with an eager exact gap.
-        let gap_exact = indicator::safety_gap_polynomial::<Rational>(n, a, b);
-        let gap = gap_exact.map_coeffs(|c| c.to_f64());
-        if gap.is_zero() {
-            return (
-                Verdict::Safe(SafeEvidence::BranchAndBound { boxes_processed: 0 }),
-                stats,
-            );
-        }
-        let tensor = matches!(options.bound_method, BoundMethod::Bernstein)
-            .then(|| DenseTensor::from_polynomial(&gap));
-        SolveCtx {
-            options,
-            n,
-            tensor,
-            sparse: Some(gap),
-            pow3: None,
-            root_bern: None,
-            vertices: Vec::new(),
-            assert_zero_alloc,
-            exact: LazyExactGap::prefilled(n, a, b, gap_exact),
-        }
+    // Butterfly indicators, product straight into the base-3 layout.
+    // Coefficients are integers, so the f64 arithmetic is exact.
+    let pow3 = indicator::safety_gap_pow3::<f64>(n, a, b);
+    if pow3.coeffs().iter().all(|&c| c == 0.0) {
+        // Independence: gap ≡ 0 (e.g. Miklau–Suciu pairs).
+        return (
+            Verdict::Safe(SafeEvidence::BranchAndBound { boxes_processed: 0 }),
+            stats,
+        );
+    }
+    let mut root_bern = pow3.coeffs().to_vec();
+    subdivision::pow3_to_bernstein(&mut root_bern, n);
+    let ctx = SolveCtx {
+        options,
+        n,
+        pow3,
+        root_bern,
+        vertices: (0..1u32 << n)
+            .map(|mask| (subdivision::vertex_index(n, mask), mask))
+            .collect(),
+        assert_zero_alloc: cfg!(debug_assertions)
+            && std::env::var_os("EPI_ASSERT_ZERO_ALLOC").is_some(),
+        exact: LazyExactGap::new(n, a, b),
     };
-    ctx.prepare_incremental();
 
     // Warm start: coordinate ascent from a few deterministic starts.
     if options.coordinate_ascent {
@@ -491,228 +342,21 @@ pub fn decide_product_safety_deadline(
         }
     }
 
-    let pool = Pool::new(options.threads);
-    match options.search_mode {
-        SearchMode::Deterministic => wave_search(&ctx, pool, stats, deadline),
-        SearchMode::Opportunistic => opportunistic_search(&ctx, pool, stats, deadline),
-    }
+    wave_search(&ctx, Pool::new(options.threads), stats, deadline)
 }
 
-/// Evaluates one box: bound it, hunt for a rigorous witness, or split.
-/// Pure up to the optional `best` cell — shared state is read-only (the
-/// lazy exact gap memoizes internally), so the result is independent of
-/// scheduling; the deterministic search passes `best = None`. Returns
-/// the fate and the box's computed lower bound (the opportunistic queue
-/// priority for its children).
-fn evaluate_box(ctx: &SolveCtx<'_>, node: &BoxNode, best: Option<&AtomicU64>) -> (BoxFate, f64) {
-    let options = &ctx.options;
-    let bx = &node.bx[..];
-    let n = bx.len();
-    if !node.bern.is_empty() {
-        return evaluate_box_incremental(ctx, bx, &node.bern, node.min, best);
-    }
-    let bound_min;
-    match options.bound_method {
-        BoundMethod::Bernstein => {
-            let tensor = ctx.tensor.as_ref().expect("Bernstein mode has a tensor");
-            let mut lo = take_scratch_f64(n);
-            lo.extend(bx.iter().map(|iv| iv.lo()));
-            let mut hi = take_scratch_f64(n);
-            hi.extend(bx.iter().map(|iv| iv.hi()));
-            let bound = bernstein_bound(tensor, &lo, &hi);
-            bound_min = bound.min;
-            let mut witness = None;
-            if bound.min < -options.margin && bound.min_at_vertex {
-                // The minimum is the exact value at a (dyadic) corner:
-                // a rigorous rational witness candidate.
-                let mut corner = take_scratch_f64(n);
-                corner.extend((0..n).map(|i| {
-                    if bound.vertex >> i & 1 == 1 {
-                        hi[i]
-                    } else {
-                        lo[i]
-                    }
-                }));
-                witness = exact_witness(ctx.exact.get(), &corner);
-                give_scratch_f64(corner);
-            }
-            give_scratch_f64(hi);
-            give_scratch_f64(lo);
-            if bound.min >= -options.margin {
-                return (BoxFate::Pruned, bound_min); // no breach of advantage > ε here
-            }
-            if let Some(w) = witness {
-                return (BoxFate::Witness(w), bound_min);
-            }
-        }
-        BoundMethod::Interval => {
-            let sparse = ctx.sparse.as_ref().expect("Interval mode has a sparse gap");
-            let range = sparse.eval_interval(bx);
-            bound_min = range.lo();
-            if range.lo() >= -options.margin {
-                return (BoxFate::Pruned, bound_min);
-            }
-        }
-    }
-    // Probe the midpoint for a genuine violation.
-    let mut mid = take_scratch_f64(n);
-    mid.extend(bx.iter().map(|iv| iv.midpoint()));
-    let mid_val = ctx.eval_point(&mid);
-    let witness = if mid_val < -1e-12 && worth_verifying(mid_val, best) {
-        exact_witness(ctx.exact.get(), &mid)
-    } else {
-        None
-    };
-    give_scratch_f64(mid);
-    if let Some(w) = witness {
-        return (BoxFate::Witness(w), bound_min);
-    }
-    // Split along the widest coordinate.
-    let (split_dim, _) = bx
-        .iter()
-        .enumerate()
-        .max_by(|(_, x), (_, y)| x.width().total_cmp(&y.width()))
-        .expect("non-empty box");
-    (split_box(bx, split_dim, &[]), bound_min)
-}
-
-/// Whether a midpoint violation candidate merits the expensive exact
-/// verification. The deterministic search (`best = None`) always
-/// verifies; opportunistic workers share the deepest violation seen and
-/// only verify candidates within 2× of it — a shallower one would round
-/// away more often anyway.
-fn worth_verifying(mid_val: f64, best: Option<&AtomicU64>) -> bool {
-    match best {
-        None => true,
-        Some(cell) => {
-            let deepest = atomic_min_f64(cell, mid_val);
-            mid_val <= 0.5 * deepest
-        }
-    }
-}
-
-/// The incremental hot path: every bound, witness probe and child tensor
-/// comes from the box's own Bernstein coefficients — one `O(3ⁿ)` scan
-/// replaces the recompute path's `O(n·3ⁿ)` restriction, and, with warm
-/// arenas, the whole evaluation performs zero heap allocations.
-fn evaluate_box_incremental(
-    ctx: &SolveCtx<'_>,
-    bx: &[Interval],
-    bern: &[f64],
-    min: f64,
-    best: Option<&AtomicU64>,
-) -> (BoxFate, f64) {
-    let options = &ctx.options;
-    let n = bx.len();
-    // The bound normally rides in from the parent's fused ranged
-    // halving; a fresh scan is the fallback, numerically identical
-    // (both canonicalize `-0.0`, asserted by proptest).
-    let min = if min.is_nan() {
-        subdivision::coefficient_range(bern).0
-    } else {
-        min
-    };
-    if min >= -options.margin {
-        return (BoxFate::Pruned, min);
-    }
-    // Vertex coefficients are exact corner values, so the most negative
-    // one is a free, rigorous violation candidate — no point evaluation
-    // needed to discover it.
-    let mut worst = -1e-12;
-    let mut worst_mask = None;
-    for &(idx, mask) in &ctx.vertices {
-        if bern[idx] < worst {
-            worst = bern[idx];
-            worst_mask = Some(mask);
-        }
-    }
-    if let Some(mask) = worst_mask {
-        let mut corner = take_scratch_f64(n);
-        corner.extend(bx.iter().enumerate().map(|(i, iv)| {
-            if mask >> i & 1 == 1 {
-                iv.hi()
-            } else {
-                iv.lo()
-            }
-        }));
-        let witness = exact_witness(ctx.exact.get(), &corner);
-        give_scratch_f64(corner);
-        if let Some(w) = witness {
-            return (BoxFate::Witness(w), min);
-        }
-    }
-    // One fused contraction gives both the midpoint probe (`O(3ⁿ)`, no
-    // global coordinates, same violation-hunting role as the recompute
-    // path's point evaluation) and the derivative-range split axis —
-    // which (unlike widest coordinate) adapts to the gap's local shape.
-    let mut scratch = take_scratch_f64(bern.len() / 3);
-    let (mid_val, dim) =
-        subdivision::midpoint_and_split_axis_tiled(bern, n, &mut scratch, options.kernel_block);
-    give_scratch_f64(scratch);
-    if mid_val < -1e-12 && worth_verifying(mid_val, best) {
-        let mut mid = take_scratch_f64(n);
-        mid.extend(bx.iter().map(|iv| iv.midpoint()));
-        let witness = exact_witness(ctx.exact.get(), &mid);
-        give_scratch_f64(mid);
-        if let Some(w) = witness {
-            return (BoxFate::Witness(w), min);
-        }
-    }
-    (split_box(bx, dim, bern), min)
-}
-
-/// Build both children of `bx` along `dim`. With a parent Bernstein
-/// tensor, de Casteljau halving fills both children's tensors from
-/// pooled buffers in a single pass; otherwise children carry no tensor.
-fn split_box(bx: &[Interval], dim: usize, bern: &[f64]) -> BoxFate {
-    let n = bx.len();
-    let (left_iv, right_iv) = bx[dim].split();
-    let (lb, rb, lmin, rmin) = if bern.is_empty() {
-        (Vec::new(), Vec::new(), f64::NAN, f64::NAN)
-    } else {
-        // Dirty checkout: `split_halves_min` overwrites every element,
-        // and a same-shape recycled buffer makes its resize a no-op —
-        // see `release_node`.
-        let mut lb = BERN_POOL.checkout_dirty(bern.len());
-        let mut rb = BERN_POOL.checkout_dirty(bern.len());
-        // The fused ranged halving hands each child its lower bound for
-        // free, eliminating the child's own range scan next wave.
-        let (lmin, rmin) = subdivision::split_halves_min(bern, n, dim, &mut lb, &mut rb);
-        (lb, rb, lmin, rmin)
-    };
-    let mut lbx = BOX_POOL.checkout(n);
-    lbx.extend_from_slice(bx);
-    lbx[dim] = left_iv;
-    let mut rbx = BOX_POOL.checkout(n);
-    rbx.extend_from_slice(bx);
-    rbx[dim] = right_iv;
-    BoxFate::Split(
-        BoxNode {
-            bx: lbx,
-            bern: lb,
-            min: lmin,
-        },
-        BoxNode {
-            bx: rbx,
-            bern: rb,
-            min: rmin,
-        },
-    )
-}
-
-/// [`split_box`] for the batched path, which owns the parent's tensor:
-/// the in-place halving turns the parent buffer itself into the left
-/// child (its `b₀` slabs are already in place and still cache-hot from
-/// the probe), so each split costs one pooled checkout instead of two
-/// and streams one fewer `3ⁿ` buffer through memory.
-fn split_box_inplace(bx: &[Interval], dim: usize, bern: Vec<f64>) -> BoxFate {
-    debug_assert!(
-        !bern.is_empty(),
-        "batched waves require the incremental engine"
-    );
+/// Build both children of `bx` along `dim`, consuming the parent's
+/// tensor: the in-place halving turns the parent buffer itself into the
+/// left child (its `b₀` slabs are already in place and still cache-hot
+/// from the probe), so each split costs one pooled checkout and hands
+/// each child its lower bound for free.
+fn split_box(bx: &[Interval], dim: usize, bern: Vec<f64>) -> BoxFate {
     let n = bx.len();
     let (left_iv, right_iv) = bx[dim].split();
     let mut lb = bern;
+    // Dirty checkout: the halving overwrites every element, and a
+    // same-shape recycled buffer makes its resize a no-op — see
+    // `release_node`.
     let mut rb = BERN_POOL.checkout_dirty(lb.len());
     let (lmin, rmin) = subdivision::split_halves_min_inplace(&mut lb, n, dim, &mut rb);
     let mut lbx = BOX_POOL.checkout(n);
@@ -735,16 +379,16 @@ fn split_box_inplace(bx: &[Interval], dim: usize, bern: Vec<f64>) -> BoxFate {
     )
 }
 
-/// Resolves one survivor of the batched classify sweep into its fate:
-/// vertex-witness scan, staged midpoint-probe witness check, then the
-/// ranged split — exactly the decision sequence of
-/// [`evaluate_box_incremental`] after its prune check (wave mode always
-/// verifies candidates, `best = None`), so batching cannot change a
-/// verdict.
+/// Resolves one survivor of the classify sweep (lower bound below
+/// `−margin`) into its fate: vertex-witness scan, staged midpoint-probe
+/// witness check, then the split.
 fn assemble_survivor(ctx: &SolveCtx<'_>, node: &mut BoxNode, mid_val: f64, dim: usize) -> BoxFate {
     let bx = &node.bx[..];
     let bern = &node.bern[..];
     let n = bx.len();
+    // Vertex coefficients are exact corner values, so the most negative
+    // one is a free, rigorous violation candidate — no point evaluation
+    // needed to discover it.
     let mut worst = -1e-12;
     let mut worst_mask = None;
     for &(idx, mask) in &ctx.vertices {
@@ -777,21 +421,19 @@ fn assemble_survivor(ctx: &SolveCtx<'_>, node: &mut BoxNode, mid_val: f64, dim: 
             return BoxFate::Witness(w);
         }
     }
-    // The parent's tensor is consumed here — it becomes the left child
-    // in place (same values as the out-of-place halving, bit-for-bit).
     let bern = std::mem::take(&mut node.bern);
-    split_box_inplace(&node.bx, dim, bern)
+    split_box(&node.bx, dim, bern)
 }
 
-/// Batched evaluation of one contiguous chunk of a deterministic wave.
-/// Instead of interleaving every kernel per box, the chunk runs three
+/// Batched evaluation of one contiguous chunk of a wave. Instead of
+/// interleaving every kernel per box, the chunk runs three
 /// structure-of-arrays sweeps over its same-shape tensors: (1) classify
 /// from the carried child bounds (no kernel work at all — the fused
-/// ranged halving already paid for it), (2) one contiguous
-/// fused-probe pass over the survivors with results staged into pooled
-/// SoA buffers, (3) in-order fate assembly (witness probes + ranged
-/// splits). Appends one fate per box to `fates` in box order — the same
-/// fates, in the same order, as the box-at-a-time path.
+/// ranged halving already paid for it), (2) one contiguous fused-probe
+/// pass over the survivors — midpoint value and derivative-range split
+/// axis from one contraction — with results staged into pooled SoA
+/// buffers, (3) in-order fate assembly (witness probes + ranged splits).
+/// Appends one fate per box to `fates` in box order.
 ///
 /// Returns `Some(reason)` if *this* chunk hit the deadline (after
 /// raising `stop` for its siblings); a chunk interrupted by `stop`
@@ -818,14 +460,10 @@ fn evaluate_wave_chunk(
     if boxes.first().is_some_and(|b| b.bern.len() >= FUSE_LEN) {
         return evaluate_wave_chunk_fused(ctx, boxes, deadline, stop, fates);
     }
-    // Sweep 1 — classify on the carried bounds alone. NaN (unknown)
-    // never satisfies the prune comparison, so it survives to sweep 2.
+    // Sweep 1 — classify on the carried bounds alone. A NaN bound never
+    // satisfies the prune comparison, so it survives to sweep 2.
     let mut survivors = IDX_POOL.checkout(boxes.len());
     for (i, node) in boxes.iter().enumerate() {
-        debug_assert!(
-            !node.bern.is_empty(),
-            "batched waves require the incremental engine"
-        );
         #[allow(clippy::neg_cmp_op_on_partial_ord)] // NaN must survive, not prune
         if !(node.min >= -options.margin) {
             survivors.push(i as u32);
@@ -911,10 +549,6 @@ fn evaluate_wave_chunk_fused(
     let mut scratch = take_scratch_f64(boxes.first().map_or(0, |b| b.bern.len()));
     let mut stopped = None;
     for node in boxes.iter_mut() {
-        debug_assert!(
-            !node.bern.is_empty(),
-            "batched waves require the incremental engine"
-        );
         #[allow(clippy::neg_cmp_op_on_partial_ord)] // NaN must survive, not prune
         if !(node.min >= -options.margin) {
             if stop.load(Ordering::Relaxed) {
@@ -936,9 +570,9 @@ fn evaluate_wave_chunk_fused(
             fates.push(BoxFate::Pruned);
         }
         // Fate pushed ⇒ the parent tensor is dead; recycle it dirty so
-        // the next box's two child checkouts hit the shelf (one of them
-        // cache-hot from this box's split reads) instead of growing the
-        // wave's working set past the arena cap.
+        // the next box's child checkout hits the shelf (cache-hot from
+        // this box's split reads) instead of growing the wave's working
+        // set past the arena cap.
         BERN_POOL.checkin_dirty(std::mem::take(&mut node.bern));
     }
     give_scratch_f64(scratch);
@@ -952,9 +586,8 @@ fn evaluate_wave_chunk_fused(
 /// facet-product tier can burn minutes of SDP time on instances
 /// subdivision handles anyway).
 fn try_sos(ctx: &SolveCtx<'_>) -> Option<SafeEvidence> {
-    let gap = ctx.sparse_gap();
     epi_sos::certify_nonneg_on_box_with(
-        &gap,
+        &ctx.pow3.to_polynomial(),
         0,
         epi_sdp::SdpOptions::default(),
         epi_sos::BoxMultipliers::PairedBoxes,
@@ -979,10 +612,7 @@ fn wave_search(
     let sos_checkpoint = options.max_boxes.min(512);
     let mut sos_tried = false;
     let policy = ChunkPolicy::resolve(options.min_wave, pool.threads());
-    // The incremental engine batches each wave through shared
-    // structure-of-arrays kernel sweeps; the recompute path (and the
-    // `wave_batch = false` ablation) evaluates box at a time.
-    let batched = ctx.root_bern.is_some() && options.wave_batch;
+    let tensor_bytes = std::mem::size_of_val(&ctx.root_bern[..]);
     let mut frontier: Vec<BoxNode> = vec![root_node(ctx)];
     let mut next: Vec<BoxNode> = Vec::new();
     let mut fates: Vec<BoxFate> = Vec::new();
@@ -996,139 +626,96 @@ fn wave_search(
                 boxes_processed: stats.boxes_processed,
             });
         }
-        stats.waves += 1;
         // Boxes beyond the budget are never inspected: the commit loop
         // below breaks with Unknown before reaching them.
         let eval_count = frontier
             .len()
             .min(options.max_boxes.saturating_sub(stats.boxes_processed));
+        // Fail closed before a wave whose tensors might not fit: the
+        // frontier's, plus two children per evaluated box.
+        if (frontier.len() + 2 * eval_count).saturating_mul(tensor_bytes) > TENSOR_BUDGET_BYTES {
+            stats.undecided = Some(UndecidedReason::BudgetExhausted);
+            break 'search Verdict::Unknown;
+        }
+        stats.waves += 1;
         fates.clear();
-        let fan_out = policy.should_parallelize(eval_count, pool.threads());
-        if batched {
-            // Batched SoA path. Waves below `min_wave` take it too —
-            // they just run as a single inline chunk, so the chunk
-            // policy only decides *where* the sweeps run, never whether
-            // the wave gets the batched kernels.
-            let stop = AtomicBool::new(false);
-            if !fan_out {
-                // Each box contributes exactly one fate; reserving up
-                // front keeps vector growth out of the kernel sweeps
-                // (and out of the zero-alloc accounting below).
-                fates.reserve(eval_count);
-                #[cfg(debug_assertions)]
-                let before = (epi_par::heap_allocations(), epi_par::stats().arena_misses);
-                let stopped = evaluate_wave_chunk(
-                    ctx,
-                    &mut frontier[..eval_count],
-                    deadline,
-                    &stop,
-                    &mut fates,
+        // Every wave runs the batched sweeps; the chunk policy only
+        // decides whether it runs as one inline chunk or fans out.
+        let stop = AtomicBool::new(false);
+        if !policy.should_parallelize(eval_count, pool.threads()) {
+            // Each box contributes exactly one fate; reserving up front
+            // keeps vector growth out of the kernel sweeps (and out of
+            // the zero-alloc accounting below).
+            fates.reserve(eval_count);
+            #[cfg(debug_assertions)]
+            let before = (epi_par::heap_allocations(), epi_par::stats().arena_misses);
+            let stopped = evaluate_wave_chunk(
+                ctx,
+                &mut frontier[..eval_count],
+                deadline,
+                &stop,
+                &mut fates,
+            );
+            #[cfg(debug_assertions)]
+            if ctx.assert_zero_alloc && !fates.iter().any(|f| matches!(f, BoxFate::Witness(_))) {
+                // Steady-state discipline: with warm arenas (tensors,
+                // boxes, SoA staging, tile scratch) an entire chunk must
+                // stay off the heap. Cold chunks are excused wholesale:
+                // beyond the missed buffers themselves, parking a freshly
+                // created buffer can grow a shelf's spine vector, an
+                // allocation with no miss of its own. Witness
+                // verifications are exempt too: exact rational
+                // arithmetic allocates, and they end the search.
+                let allocs = epi_par::heap_allocations() - before.0;
+                let misses = epi_par::stats().arena_misses - before.1;
+                debug_assert!(
+                    misses > 0 || allocs == 0,
+                    "warm batched chunk allocated {allocs}× with no arena miss"
                 );
-                #[cfg(debug_assertions)]
-                if ctx.assert_zero_alloc && !fates.iter().any(|f| matches!(f, BoxFate::Witness(_)))
-                {
-                    // Same steady-state discipline as the per-box path
-                    // below, at chunk granularity: with warm arenas
-                    // (tensors, boxes, SoA staging, tile scratch) an
-                    // entire chunk must stay off the heap. Cold chunks
-                    // (any arena miss) and witness verifications are
-                    // excused, as before.
-                    let allocs = epi_par::heap_allocations() - before.0;
-                    let misses = epi_par::stats().arena_misses - before.1;
-                    debug_assert!(
-                        misses > 0 || allocs == 0,
-                        "warm batched chunk allocated {allocs}× with no arena miss"
-                    );
-                }
-                if let Some(reason) = stopped {
-                    stats.undecided = Some(reason.into());
-                    break 'search Verdict::Unknown;
-                }
-            } else {
-                // One contiguous range per worker: results concatenate
-                // in frontier order, so the commit below is
-                // byte-identical to the single-chunk path.
-                let workers = pool.threads().max(1);
-                let chunk_len = eval_count.div_ceil(workers);
-                // Each worker owns one contiguous chunk mutably (the
-                // chunks cannot alias, but `parallel_map_deadline` only
-                // shares `&T`, so the exclusive reborrow goes through an
-                // uncontended per-chunk mutex) — mutability is what lets
-                // a chunk recycle its parents' tensors mid-wave.
-                let chunks: Vec<Mutex<&mut [BoxNode]>> = frontier[..eval_count]
-                    .chunks_mut(chunk_len)
-                    .map(Mutex::new)
-                    .collect();
-                let result = pool.parallel_map_deadline(
-                    &chunks,
-                    |chunk| {
-                        let mut guard = chunk
-                            .lock()
-                            .unwrap_or_else(std::sync::PoisonError::into_inner);
-                        let mut out = Vec::new();
-                        let stopped =
-                            evaluate_wave_chunk(ctx, &mut guard, deadline, &stop, &mut out);
-                        (out, stopped)
-                    },
-                    deadline,
-                );
-                match result {
-                    Ok(results) => {
-                        let mut stopped = None;
-                        for (chunk_fates, chunk_stop) in results {
-                            fates.extend(chunk_fates);
-                            stopped = stopped.or(chunk_stop);
-                        }
-                        if let Some(reason) = stopped {
-                            stats.undecided = Some(reason.into());
-                            break 'search Verdict::Unknown;
-                        }
+            }
+            if let Some(reason) = stopped {
+                stats.undecided = Some(reason.into());
+                break 'search Verdict::Unknown;
+            }
+        } else {
+            // One contiguous range per worker: results concatenate in
+            // frontier order, so the commit below is byte-identical to
+            // the single-chunk path.
+            let workers = pool.threads().max(1);
+            let chunk_len = eval_count.div_ceil(workers);
+            // Each worker owns one contiguous chunk mutably (the chunks
+            // cannot alias, but `parallel_map_deadline` only shares
+            // `&T`, so the exclusive reborrow goes through an
+            // uncontended per-chunk mutex) — mutability is what lets a
+            // chunk recycle its parents' tensors mid-wave.
+            let chunks: Vec<Mutex<&mut [BoxNode]>> = frontier[..eval_count]
+                .chunks_mut(chunk_len)
+                .map(Mutex::new)
+                .collect();
+            let result = pool.parallel_map_deadline(
+                &chunks,
+                |chunk| {
+                    let mut guard = chunk
+                        .lock()
+                        .unwrap_or_else(std::sync::PoisonError::into_inner);
+                    let mut out = Vec::new();
+                    let stopped = evaluate_wave_chunk(ctx, &mut guard, deadline, &stop, &mut out);
+                    (out, stopped)
+                },
+                deadline,
+            );
+            match result {
+                Ok(results) => {
+                    let mut stopped = None;
+                    for (chunk_fates, chunk_stop) in results {
+                        fates.extend(chunk_fates);
+                        stopped = stopped.or(chunk_stop);
                     }
-                    Err(reason) => {
+                    if let Some(reason) = stopped {
                         stats.undecided = Some(reason.into());
                         break 'search Verdict::Unknown;
                     }
                 }
-            }
-        } else if !fan_out {
-            for node in &frontier[..eval_count] {
-                if let Err(reason) = deadline.check() {
-                    stats.undecided = Some(reason.into());
-                    break 'search Verdict::Unknown;
-                }
-                #[cfg(debug_assertions)]
-                let before = (epi_par::heap_allocations(), epi_par::stats().arena_misses);
-                let (fate, _) = evaluate_box(ctx, node, None);
-                #[cfg(debug_assertions)]
-                if ctx.assert_zero_alloc
-                    && !node.bern.is_empty()
-                    && !matches!(fate, BoxFate::Witness(_))
-                {
-                    // Steady-state discipline: with warm arenas (no
-                    // checkout missed), a box evaluation must not touch
-                    // the heap at all. Cold evals are excused wholesale:
-                    // beyond the missed buffers themselves, parking a
-                    // freshly created buffer can grow a shelf's spine
-                    // vector, an allocation with no miss of its own.
-                    // Witness verifications are exempt too: exact
-                    // rational arithmetic allocates, and they end the
-                    // search.
-                    let allocs = epi_par::heap_allocations() - before.0;
-                    let misses = epi_par::stats().arena_misses - before.1;
-                    debug_assert!(
-                        misses > 0 || allocs == 0,
-                        "warm box evaluation allocated {allocs}× with no arena miss"
-                    );
-                }
-                fates.push(fate);
-            }
-        } else {
-            match pool.parallel_map_deadline(
-                &frontier[..eval_count],
-                |node| evaluate_box(ctx, node, None).0,
-                deadline,
-            ) {
-                Ok(out) => fates.extend(out),
                 Err(reason) => {
                     stats.undecided = Some(reason.into());
                     break 'search Verdict::Unknown;
@@ -1184,149 +771,6 @@ fn wave_search(
         }
     }
     (verdict, stats)
-}
-
-/// Best-first work-stealing search: nondeterministic, fastest route to a
-/// refutation. Workers pull the most promising box (most negative lower
-/// bound, computed by its parent), share the deepest violation seen and
-/// the box budget through atomics, and the first verified witness (or
-/// budget exhaustion, or an SOS certificate) closes the queue for
-/// everyone.
-fn opportunistic_search(
-    ctx: &SolveCtx<'_>,
-    pool: Pool,
-    mut stats: ProductSolverStats,
-    deadline: &Deadline,
-) -> (Verdict<ProductWitness>, ProductSolverStats) {
-    let options = &ctx.options;
-    let sos_checkpoint = options.max_boxes.min(512);
-
-    let queue: epi_par::BestFirstQueue<std::cmp::Reverse<epi_par::OrdF64>, BoxNode> =
-        epi_par::BestFirstQueue::new();
-    queue.push(
-        std::cmp::Reverse(epi_par::OrdF64(f64::NEG_INFINITY)),
-        root_node(ctx),
-    );
-    let boxes = AtomicUsize::new(0);
-    let sos_gate = AtomicBool::new(false);
-    // Deepest violation value seen at any probed point, as f64 bits.
-    let best_violation = AtomicU64::new(0f64.to_bits());
-    type Outcome = (Verdict<ProductWitness>, Option<UndecidedReason>);
-    let outcome: Mutex<Option<Outcome>> = Mutex::new(None);
-
-    let settle = |verdict: Verdict<ProductWitness>, reason: Option<UndecidedReason>| {
-        let mut slot = outcome
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if slot.is_none() {
-            *slot = Some((verdict, reason));
-        }
-        drop(slot);
-        queue.close();
-    };
-
-    let worker = || loop {
-        let node = match queue.pop_deadline(deadline) {
-            Ok(Some(node)) => node,
-            Ok(None) => return,
-            Err(stop) => {
-                settle(Verdict::Unknown, Some(stop.into()));
-                return;
-            }
-        };
-        {
-            let processed = boxes.fetch_add(1, Ordering::SeqCst) + 1;
-            if options.sos_fallback
-                && processed > sos_checkpoint
-                && !sos_gate.swap(true, Ordering::SeqCst)
-            {
-                if let Some(evidence) = try_sos(ctx) {
-                    settle(Verdict::Safe(evidence), None);
-                    release_node(node);
-                    queue.item_done();
-                    return;
-                }
-            }
-            if processed > options.max_boxes {
-                settle(Verdict::Unknown, Some(UndecidedReason::BudgetExhausted));
-                release_node(node);
-                queue.item_done();
-                return;
-            }
-            match evaluate_box(ctx, &node, Some(&best_violation)) {
-                (BoxFate::Pruned, _) => {}
-                (BoxFate::Witness(w), _) => {
-                    settle(Verdict::Unsafe(w), None);
-                    release_node(node);
-                    queue.item_done();
-                    return;
-                }
-                (BoxFate::Split(bl, br), bound_min) => {
-                    // Children carry their own bound when the fused
-                    // ranged halving computed one (incremental engine);
-                    // the recompute path falls back to the parent's —
-                    // either way the frontier stays ordered by promise
-                    // at zero extra bounding cost.
-                    for child in [bl, br] {
-                        let priority = if child.min.is_nan() {
-                            bound_min
-                        } else {
-                            child.min
-                        };
-                        queue.push(std::cmp::Reverse(epi_par::OrdF64(priority)), child);
-                    }
-                }
-            }
-            release_node(node);
-            queue.item_done();
-        }
-    };
-
-    pool.scope(|s| {
-        for _ in 0..pool.threads() {
-            s.spawn(|_| worker());
-        }
-    });
-
-    // Workers are joined; boxes abandoned by the close (witness, budget,
-    // deadline) still hold pooled buffers — check them back in.
-    for node in queue.drain_remaining() {
-        release_node(node);
-    }
-
-    stats.boxes_processed = boxes.load(Ordering::SeqCst);
-    let (verdict, reason) = outcome
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .take()
-        .unwrap_or((
-            Verdict::Safe(SafeEvidence::BranchAndBound {
-                boxes_processed: stats.boxes_processed,
-            }),
-            None,
-        ));
-    stats.undecided = reason;
-    (verdict, stats)
-}
-
-/// Merge `candidate` into the shared minimum (f64 bits, values ≤ 0) and
-/// return the post-merge minimum.
-fn atomic_min_f64(cell: &AtomicU64, candidate: f64) -> f64 {
-    let mut current = f64::from_bits(cell.load(Ordering::Relaxed));
-    loop {
-        if candidate >= current {
-            return current;
-        }
-        match cell.compare_exchange_weak(
-            current.to_bits(),
-            candidate.to_bits(),
-            Ordering::Relaxed,
-            Ordering::Relaxed,
-        ) {
-            Ok(_) => return candidate,
-            Err(actual) => current = f64::from_bits(actual),
-        }
-    }
 }
 
 /// Deterministic starting points for the warm start: the center, plus
@@ -1580,31 +1024,6 @@ mod tests {
     }
 
     #[test]
-    fn dense_kernel_ablation_agrees() {
-        // The dense multilinear construction and the legacy sparse
-        // pipeline must reach the same classification everywhere.
-        let mut rng = rand::rngs::StdRng::seed_from_u64(193);
-        let cube = Cube::new(3);
-        for _ in 0..40 {
-            let a = cube.set_from_predicate(|_| rng.gen());
-            let b = cube.set_from_predicate(|_| rng.gen());
-            let dense = decide(&cube, &a, &b);
-            let legacy = decide_product_safety(
-                &cube,
-                &a,
-                &b,
-                ProductSolverOptions {
-                    dense_kernel: false,
-                    ..Default::default()
-                },
-            )
-            .0;
-            assert_eq!(dense.is_safe(), legacy.is_safe(), "A={a:?} B={b:?}");
-            assert_eq!(dense.is_unsafe(), legacy.is_unsafe());
-        }
-    }
-
-    #[test]
     fn deterministic_mode_is_thread_count_invariant() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(197);
         let cube = Cube::new(3);
@@ -1637,30 +1056,15 @@ mod tests {
     }
 
     #[test]
-    fn opportunistic_mode_agrees_on_classification() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(199);
-        let cube = Cube::new(3);
-        for _ in 0..25 {
-            let a = cube.set_from_predicate(|_| rng.gen());
-            let b = cube.set_from_predicate(|_| rng.gen());
-            let det = decide(&cube, &a, &b);
-            let opp = decide_product_safety(
-                &cube,
-                &a,
-                &b,
-                ProductSolverOptions {
-                    search_mode: SearchMode::Opportunistic,
-                    threads: 4,
-                    ..Default::default()
-                },
-            )
-            .0;
-            assert_eq!(det.is_safe(), opp.is_safe(), "A={a:?} B={b:?}");
-            assert_eq!(det.is_unsafe(), opp.is_unsafe());
-            if let Verdict::Unsafe(w) = &opp {
-                assert!(w.gap.is_negative(), "opportunistic witness is rigorous");
-            }
-        }
+    fn supports_wider_than_the_dense_tensor_fail_closed() {
+        let cube = Cube::new(13);
+        let a = cube.set_from_predicate(|w| w.count_ones() % 3 == 0);
+        let b = cube.set_from_predicate(|w| w & 1 == 1);
+        let (verdict, stats) =
+            decide_product_safety(&cube, &a, &b, ProductSolverOptions::default());
+        assert!(verdict.is_unknown());
+        assert_eq!(stats.undecided, Some(UndecidedReason::BudgetExhausted));
+        assert_eq!(stats.boxes_processed, 0);
     }
 
     #[test]

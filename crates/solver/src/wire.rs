@@ -1,16 +1,14 @@
-//! JSON wire format for verdicts, stages, witnesses and solver options.
+//! JSON wire format for verdicts, stages and witnesses.
 //!
 //! Everything the audit service ships across a connection — or a tool
 //! stores next to a report — round-trips through [`epi_json`]:
-//! [`Stage`], [`SafeEvidence`], [`Verdict`], [`ProductWitness`],
-//! [`PipelineDecision`], and [`ProductSolverOptions`]. Encodings are
+//! [`Stage`], [`SafeEvidence`], [`Verdict`], [`ProductWitness`] and
+//! [`PipelineDecision`]. Encodings are
 //! tagged objects (`{"kind": ...}`) or plain strings for fieldless enums,
 //! so the format stays self-describing.
 
 use crate::pipeline::{PipelineDecision, Stage};
-use crate::product::{
-    BoundMethod, ProductSolverOptions, ProductWitness, SearchMode, SubdivisionMode,
-};
+use crate::product::ProductWitness;
 use crate::verdict::{SafeEvidence, UndecidedReason, Verdict};
 use epi_json::{field, opt_field, Deserialize, Json, JsonError, Serialize};
 use epi_num::Rational;
@@ -200,115 +198,6 @@ impl Deserialize for PipelineDecision {
     }
 }
 
-impl Serialize for BoundMethod {
-    fn to_json(&self) -> Json {
-        Json::Str(
-            match self {
-                BoundMethod::Bernstein => "bernstein",
-                BoundMethod::Interval => "interval",
-            }
-            .to_owned(),
-        )
-    }
-}
-
-impl Deserialize for BoundMethod {
-    fn from_json(v: &Json) -> Result<BoundMethod, JsonError> {
-        match v.as_str() {
-            Some("bernstein") => Ok(BoundMethod::Bernstein),
-            Some("interval") => Ok(BoundMethod::Interval),
-            _ => Err(JsonError::decode("unknown bound method")),
-        }
-    }
-}
-
-impl Serialize for SearchMode {
-    fn to_json(&self) -> Json {
-        Json::Str(
-            match self {
-                SearchMode::Deterministic => "deterministic",
-                SearchMode::Opportunistic => "opportunistic",
-            }
-            .to_owned(),
-        )
-    }
-}
-
-impl Deserialize for SearchMode {
-    fn from_json(v: &Json) -> Result<SearchMode, JsonError> {
-        match v.as_str() {
-            Some("deterministic") => Ok(SearchMode::Deterministic),
-            Some("opportunistic") => Ok(SearchMode::Opportunistic),
-            _ => Err(JsonError::decode("unknown search mode")),
-        }
-    }
-}
-
-impl Serialize for SubdivisionMode {
-    fn to_json(&self) -> Json {
-        Json::Str(
-            match self {
-                SubdivisionMode::Auto => "auto",
-                SubdivisionMode::Incremental => "incremental",
-                SubdivisionMode::Recompute => "recompute",
-            }
-            .to_owned(),
-        )
-    }
-}
-
-impl Deserialize for SubdivisionMode {
-    fn from_json(v: &Json) -> Result<SubdivisionMode, JsonError> {
-        match v.as_str() {
-            Some("auto") => Ok(SubdivisionMode::Auto),
-            Some("incremental") => Ok(SubdivisionMode::Incremental),
-            Some("recompute") => Ok(SubdivisionMode::Recompute),
-            _ => Err(JsonError::decode("unknown subdivision mode")),
-        }
-    }
-}
-
-impl Serialize for ProductSolverOptions {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("margin", Json::from(self.margin)),
-            ("max_boxes", Json::from(self.max_boxes)),
-            ("coordinate_ascent", Json::from(self.coordinate_ascent)),
-            ("bound_method", self.bound_method.to_json()),
-            ("sos_fallback", Json::from(self.sos_fallback)),
-            ("threads", Json::from(self.threads)),
-            ("search_mode", self.search_mode.to_json()),
-            ("dense_kernel", Json::from(self.dense_kernel)),
-            ("min_wave", Json::from(self.min_wave)),
-            ("subdivision", self.subdivision.to_json()),
-            ("kernel_block", Json::from(self.kernel_block)),
-            ("wave_batch", Json::from(self.wave_batch)),
-        ])
-    }
-}
-
-impl Deserialize for ProductSolverOptions {
-    fn from_json(v: &Json) -> Result<ProductSolverOptions, JsonError> {
-        // The parallel-engine fields are optional so options recorded by
-        // older builds keep deserializing; defaults match
-        // `ProductSolverOptions::default()`.
-        Ok(ProductSolverOptions {
-            margin: field(v, "margin")?,
-            max_boxes: field(v, "max_boxes")?,
-            coordinate_ascent: field(v, "coordinate_ascent")?,
-            bound_method: field(v, "bound_method")?,
-            sos_fallback: field(v, "sos_fallback")?,
-            threads: opt_field(v, "threads")?.unwrap_or(0),
-            search_mode: opt_field(v, "search_mode")?.unwrap_or(SearchMode::Deterministic),
-            dense_kernel: opt_field(v, "dense_kernel")?.unwrap_or(true),
-            min_wave: opt_field(v, "min_wave")?.unwrap_or(0),
-            subdivision: opt_field(v, "subdivision")?.unwrap_or(SubdivisionMode::Auto),
-            kernel_block: opt_field(v, "kernel_block")?.unwrap_or(0),
-            wave_batch: opt_field(v, "wave_batch")?.unwrap_or(true),
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -324,7 +213,7 @@ mod tests {
         check::<Verdict<ProductWitness>>();
         check::<ProductWitness>();
         check::<PipelineDecision>();
-        check::<ProductSolverOptions>();
+        check::<crate::ProductSolverOptions>();
     }
 
     #[test]
@@ -362,57 +251,6 @@ mod tests {
             let back = Verdict::<ProductWitness>::from_json(&j).unwrap();
             assert_eq!(back, v);
         }
-    }
-
-    #[test]
-    fn options_roundtrip() {
-        let opts = ProductSolverOptions {
-            margin: 1e-7,
-            max_boxes: 123,
-            coordinate_ascent: false,
-            bound_method: BoundMethod::Interval,
-            sos_fallback: true,
-            threads: 4,
-            search_mode: SearchMode::Opportunistic,
-            dense_kernel: false,
-            min_wave: 96,
-            subdivision: SubdivisionMode::Recompute,
-            kernel_block: 243,
-            wave_batch: false,
-        };
-        let j = Json::parse(&opts.to_json().render()).unwrap();
-        let back = ProductSolverOptions::from_json(&j).unwrap();
-        assert_eq!(back.margin, opts.margin);
-        assert_eq!(back.max_boxes, opts.max_boxes);
-        assert_eq!(back.coordinate_ascent, opts.coordinate_ascent);
-        assert_eq!(back.bound_method, opts.bound_method);
-        assert_eq!(back.sos_fallback, opts.sos_fallback);
-        assert_eq!(back.threads, opts.threads);
-        assert_eq!(back.search_mode, opts.search_mode);
-        assert_eq!(back.dense_kernel, opts.dense_kernel);
-        assert_eq!(back.min_wave, opts.min_wave);
-        assert_eq!(back.subdivision, opts.subdivision);
-        assert_eq!(back.kernel_block, opts.kernel_block);
-        assert_eq!(back.wave_batch, opts.wave_batch);
-    }
-
-    #[test]
-    fn legacy_options_deserialize_with_defaults() {
-        // An options object recorded before the parallel engine existed:
-        // no threads / search_mode / dense_kernel keys.
-        let j = Json::parse(
-            r#"{"margin":1e-9,"max_boxes":20000,"coordinate_ascent":true,
-                "bound_method":"bernstein","sos_fallback":true}"#,
-        )
-        .unwrap();
-        let opts = ProductSolverOptions::from_json(&j).unwrap();
-        assert_eq!(opts.threads, 0);
-        assert_eq!(opts.search_mode, SearchMode::Deterministic);
-        assert!(opts.dense_kernel);
-        assert_eq!(opts.min_wave, 0);
-        assert_eq!(opts.subdivision, SubdivisionMode::Auto);
-        assert_eq!(opts.kernel_block, 0);
-        assert!(opts.wave_batch);
     }
 
     #[test]

@@ -20,6 +20,12 @@ use epi_poly::{Monomial, Polynomial};
 use epi_sdp::{solve_feasibility, SdpOptions, SdpProblem, SdpStatus};
 use std::collections::{HashMap, HashSet};
 
+/// Largest dense constraint-matrix footprint [`WeightedSosProgram::solve`]
+/// will assemble. One `dim × dim` `f64` matrix per support monomial grows
+/// past any machine quickly: the Remark 5.12 gap lifted to 6 records
+/// needs 744 MB, and at 12 records 32 GB.
+const MAX_CONSTRAINT_BYTES: usize = 64 << 20;
+
 /// One SOS multiplier `h_k · σ_k` of the decomposition.
 #[derive(Clone, Debug)]
 struct SosBlock {
@@ -132,9 +138,20 @@ impl WeightedSosProgram {
     }
 
     /// Assembles and solves the feasibility SDP; on success returns the
-    /// verified decomposition.
+    /// verified decomposition. Returns `None` without allocating the SDP
+    /// when its dense constraint matrices would exceed 64 MiB.
     pub fn solve(&self, options: SdpOptions) -> Option<WeightedSosCertificate> {
-        let problem = self.assemble();
+        // Checking one matrix first refuses wide programs before their
+        // support is enumerated.
+        let matrix_bytes = self.dim.saturating_mul(self.dim).saturating_mul(8);
+        if matrix_bytes > MAX_CONSTRAINT_BYTES {
+            return None;
+        }
+        let support = self.support();
+        if support.len().saturating_mul(matrix_bytes) > MAX_CONSTRAINT_BYTES {
+            return None;
+        }
+        let problem = self.assemble_over(&support);
         let x = match solve_feasibility(&problem, options) {
             SdpStatus::Feasible { x, .. } => x,
             _ => return None,
@@ -145,8 +162,12 @@ impl WeightedSosProgram {
     /// Assembles the block-diagonal feasibility SDP (exposed for
     /// diagnostics and benchmarks).
     pub fn assemble(&self) -> SdpProblem {
-        // Collect the union of monomial supports: target plus every
-        // possible product contribution.
+        self.assemble_over(&self.support())
+    }
+
+    /// The union of monomial supports: target plus every possible product
+    /// contribution. One equality constraint per member.
+    fn support(&self) -> HashSet<Monomial> {
         let mut support: HashSet<Monomial> = self.target.terms().map(|(m, _)| m.clone()).collect();
         for blk in &self.sos_blocks {
             for (hm, _) in blk.multiplier.terms() {
@@ -164,11 +185,15 @@ impl WeightedSosProgram {
                 }
             }
         }
+        support
+    }
+
+    fn assemble_over(&self, support: &HashSet<Monomial>) -> SdpProblem {
         let target_coeffs: HashMap<Monomial, f64> =
             self.target.terms().map(|(m, c)| (m.clone(), *c)).collect();
 
         let mut problem = SdpProblem::new(self.dim);
-        for m in &support {
+        for m in support {
             let mut a = Matrix::zeros(self.dim, self.dim);
             for blk in &self.sos_blocks {
                 for (i, mi) in blk.basis.iter().enumerate() {
@@ -279,6 +304,16 @@ mod tests {
 
     fn x(arity: usize, i: usize) -> Polynomial<f64> {
         Polynomial::var(arity, i)
+    }
+
+    #[test]
+    fn oversized_program_is_refused_before_assembly() {
+        // 5,456 basis monomials: one dense constraint matrix alone is
+        // 238 MB, so the program is refused before its support is built.
+        let mut prog = WeightedSosProgram::new(Polynomial::constant(30, 1.0));
+        prog.add_sos_block(Polynomial::constant(30, 1.0), 3);
+        assert_eq!(prog.dimension(), 5_456);
+        assert!(prog.solve(SdpOptions::default()).is_none());
     }
 
     #[test]

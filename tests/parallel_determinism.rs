@@ -5,7 +5,7 @@
 
 use epi_bench::PairShape;
 use epi_boolean::Cube;
-use epi_solver::{decide_product_safety, ProductSolverOptions, SearchMode};
+use epi_solver::{decide_product_safety, ProductSolverOptions};
 use rand::SeedableRng;
 
 #[test]
@@ -18,7 +18,6 @@ fn deterministic_mode_matches_sequential_across_e7_corpus() {
                 let (a, b) = shape.sample(&cube, &mut rng);
                 let opts = |threads: usize| ProductSolverOptions {
                     threads,
-                    search_mode: SearchMode::Deterministic,
                     max_boxes: 800,
                     ..Default::default()
                 };
@@ -32,41 +31,6 @@ fn deterministic_mode_matches_sequential_across_e7_corpus() {
                         shape.label()
                     );
                 }
-            }
-        }
-    }
-}
-
-#[test]
-fn opportunistic_mode_agrees_on_classification_across_corpus() {
-    // Opportunistic search may find a different witness or box count, but
-    // a rigorous verdict can never flip: Safe stays Safe and Unsafe stays
-    // Unsafe (Unknown may resolve either way under a different ordering,
-    // so budget-limited instances are skipped).
-    let mut rng = rand::rngs::StdRng::seed_from_u64(11);
-    let cube = Cube::new(3);
-    for shape in PairShape::all() {
-        for _ in 0..4 {
-            let (a, b) = shape.sample(&cube, &mut rng);
-            let opts = |mode: SearchMode| ProductSolverOptions {
-                threads: 4,
-                search_mode: mode,
-                ..Default::default()
-            };
-            let (det, _) = decide_product_safety(&cube, &a, &b, opts(SearchMode::Deterministic));
-            let (opp, _) = decide_product_safety(&cube, &a, &b, opts(SearchMode::Opportunistic));
-            let tag = |v: &epi_solver::Verdict<_>| match v {
-                epi_solver::Verdict::Safe(_) => "safe",
-                epi_solver::Verdict::Unsafe(_) => "unsafe",
-                epi_solver::Verdict::Unknown => "unknown",
-            };
-            if tag(&det) != "unknown" && tag(&opp) != "unknown" {
-                assert_eq!(
-                    tag(&det),
-                    tag(&opp),
-                    "shape {}: opportunistic search flipped a rigorous verdict",
-                    shape.label()
-                );
             }
         }
     }

@@ -12,7 +12,7 @@
 //! thousands of allocations and fails the bound immediately.
 
 use epi_bench::hard_family;
-use epi_solver::{decide_product_safety, ProductSolverOptions, SubdivisionMode};
+use epi_solver::{decide_product_safety, ProductSolverOptions};
 
 #[global_allocator]
 static ALLOC: epi_bench::alloc::CountingAllocator = epi_bench::alloc::CountingAllocator;
@@ -38,7 +38,6 @@ fn warm_solve_allocates_nothing_per_box() {
         max_boxes: 4_000,
         coordinate_ascent: false,
         sos_fallback: false,
-        subdivision: SubdivisionMode::Incremental,
         threads: 1,
         ..Default::default()
     };
