@@ -72,9 +72,21 @@ impl MatchVector {
             .collect()
     }
 
+    /// Widest dimension [`MatchVector::all`] enumerates: `3¹⁶` vectors
+    /// already take 344 MB.
+    pub const MAX_ENUM_DIMS: usize = 16;
+
     /// Enumerates all `3ⁿ` match-vectors of dimension `n`.
+    ///
+    /// # Panics
+    ///
+    /// When `n` exceeds [`MatchVector::MAX_ENUM_DIMS`].
     pub fn all(n: usize) -> Vec<MatchVector> {
-        assert!(n <= 16, "3ⁿ enumeration guarded to n ≤ 16");
+        assert!(
+            n <= Self::MAX_ENUM_DIMS,
+            "3ⁿ enumeration guarded to n ≤ {}",
+            Self::MAX_ENUM_DIMS
+        );
         let mut out = Vec::with_capacity(3usize.pow(n as u32));
         let full = if n == 32 { u32::MAX } else { (1u32 << n) - 1 };
         // Enumerate star masks, then values on the non-star coordinates.

@@ -3,16 +3,11 @@
 //! The decision procedures this workspace runs — branch-and-bound over
 //! the unit box (§6.1), batch audits, exhaustive theorem sweeps — are
 //! all fan-out-heavy and CPU-bound, but the build environment is
-//! offline, so no rayon. This crate provides the two primitives the
-//! rest of the workspace needs, over nothing but `std::thread`:
-//!
-//! * [`Pool::scope`] — a scoped work-stealing task pool: spawn
-//!   heterogeneous jobs that may themselves spawn more jobs; per-worker
-//!   deques (LIFO for the owner, FIFO for thieves) keep related work
-//!   local.
-//! * [`Pool::parallel_map`] — order-preserving data parallelism over a
-//!   slice, with steal-half range stealing so uneven item costs (easy
-//!   vs hard solver instances) don't serialize the tail.
+//! offline, so no rayon. This crate provides the primitive the rest of
+//! the workspace needs, over nothing but `std::thread`:
+//! [`Pool::parallel_map`] — order-preserving data parallelism over a
+//! slice, with steal-half range stealing so uneven item costs (easy vs
+//! hard solver instances) don't serialize the tail.
 //!
 //! Around them, two allocation-discipline helpers: [`BufferPool`] and
 //! the thread-local scratch shelf ([`take_scratch_f64`]) recycle the
@@ -23,22 +18,22 @@
 //! Worker counts resolve, in order: an explicit count passed to
 //! [`Pool::new`], the `EPI_PAR_THREADS` environment variable, and
 //! finally [`std::thread::available_parallelism`]. All pools are
-//! value-types; threads are scoped (spawned per `scope`/`parallel_map`
-//! call and joined before it returns), so there is no global executor
-//! to shut down and nested parallelism cannot deadlock — inner calls
-//! get their own threads.
+//! value-types; threads are scoped (spawned per `parallel_map` call and
+//! joined before it returns), so there is no global executor to shut
+//! down and nested parallelism cannot deadlock — inner calls get their
+//! own threads.
 //!
 //! # Fault tolerance
 //!
 //! All primitives are hardened for a long-lived daemon:
 //!
-//! * **Panic isolation** — a panic inside a mapped closure or scoped
-//!   task never kills a pool thread silently: peers finish their work,
+//! * **Panic isolation** — a panic inside a mapped closure never kills
+//!   a pool thread silently: peers finish their work,
 //!   every internal thread is joined, and the first panic payload is
 //!   re-raised on the calling thread.
 //! * **Poison recovery** — internal locks recover from poisoning (the
 //!   guarded state is always updated atomically under the lock), so one
-//!   panicking task cannot wedge subsequent calls.
+//!   panicking closure cannot wedge subsequent calls.
 //! * **Deadlines** — [`Pool::parallel_map_deadline`] stops cooperatively
 //!   at item boundaries when a [`Deadline`] expires or its [`CancelToken`]
 //!   fires, returning [`StopReason`] instead of hanging.
@@ -48,7 +43,6 @@
 mod arena;
 mod chunk;
 mod map;
-mod scope;
 mod stats;
 
 pub use arena::{
@@ -57,7 +51,6 @@ pub use arena::{
 };
 pub use chunk::{ChunkPolicy, MIN_WAVE_ENV};
 pub use epi_core::{CancelToken, Deadline, StopReason};
-pub use scope::Scope;
 pub use stats::{record_batch_sweep, record_soa_staged_bytes, stats, StatsSnapshot};
 
 use std::sync::OnceLock;
@@ -85,8 +78,8 @@ pub fn default_threads() -> usize {
 }
 
 /// A worker-count policy. Cheap to copy; owns no threads — each
-/// [`Pool::scope`] / [`Pool::parallel_map`] call spawns scoped workers
-/// and joins them before returning.
+/// [`Pool::parallel_map`] call spawns scoped workers and joins them
+/// before returning.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Pool {
     threads: usize,
@@ -123,14 +116,6 @@ impl Pool {
     /// thread counts as one of them.
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// Run `f` with a [`Scope`] on which tasks can be spawned; returns
-    /// once every spawned task (including tasks spawned by tasks) has
-    /// finished. The calling thread participates in draining the queue,
-    /// so `threads == 1` executes everything inline and in spawn order.
-    pub fn scope<'env, T>(&self, f: impl FnOnce(&Scope<'_, 'env>) -> T) -> T {
-        scope::run_scope(self.threads, f)
     }
 
     /// Map `f` over `items` in parallel, returning outputs in input
@@ -173,8 +158,6 @@ impl Default for Pool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::panic::AssertUnwindSafe;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn pool_resolves_positive_worker_count() {
@@ -199,41 +182,6 @@ mod tests {
         let p = Pool::new(8);
         assert_eq!(p.parallel_map(&[] as &[u32], |x| *x), Vec::<u32>::new());
         assert_eq!(p.parallel_map(&[7u32], |x| x + 1), vec![8]);
-    }
-
-    #[test]
-    fn scope_runs_all_tasks_including_nested() {
-        for threads in [1, 2, 8] {
-            let count = AtomicUsize::new(0);
-            Pool::new(threads).scope(|s| {
-                for _ in 0..50 {
-                    let count = &count;
-                    s.spawn(move |_| {
-                        count.fetch_add(1, Ordering::SeqCst);
-                    });
-                }
-            });
-            assert_eq!(count.load(Ordering::SeqCst), 50, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn scope_tasks_can_spawn_more_tasks() {
-        let count = AtomicUsize::new(0);
-        Pool::new(4).scope(|s| {
-            for _ in 0..8 {
-                let count = &count;
-                s.spawn(move |inner| {
-                    count.fetch_add(1, Ordering::SeqCst);
-                    for _ in 0..4 {
-                        inner.spawn(move |_| {
-                            count.fetch_add(1, Ordering::SeqCst);
-                        });
-                    }
-                });
-            }
-        });
-        assert_eq!(count.load(Ordering::SeqCst), 8 + 8 * 4);
     }
 
     #[test]
@@ -277,27 +225,6 @@ mod tests {
             .or_else(|| payload.downcast_ref::<String>().cloned())
             .expect("panic payload is a string");
         assert!(msg.contains("unlucky item"), "got: {msg}");
-    }
-
-    #[test]
-    fn scope_task_panic_propagates_after_siblings_ran() {
-        let count = AtomicUsize::new(0);
-        let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            Pool::new(2).scope(|s| {
-                for i in 0..16 {
-                    let count = &count;
-                    s.spawn(move |_| {
-                        if i == 3 {
-                            panic!("task blew up");
-                        }
-                        count.fetch_add(1, Ordering::SeqCst);
-                    });
-                }
-            });
-        }));
-        assert!(result.is_err(), "panic must surface on the caller");
-        // Isolation: the other 15 tasks all ran despite the panic.
-        assert_eq!(count.load(Ordering::SeqCst), 15);
     }
 
     #[test]

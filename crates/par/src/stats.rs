@@ -5,7 +5,6 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-static TASKS: AtomicU64 = AtomicU64::new(0);
 static STEALS: AtomicU64 = AtomicU64::new(0);
 static MAPS: AtomicU64 = AtomicU64::new(0);
 static ARENA_CHECKOUTS: AtomicU64 = AtomicU64::new(0);
@@ -19,9 +18,7 @@ static SOA_STAGED_HIGH_WATER_BYTES: AtomicU64 = AtomicU64::new(0);
 /// Point-in-time view of the counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StatsSnapshot {
-    /// Scoped tasks executed to completion.
-    pub tasks_executed: u64,
-    /// Successful steals (scoped deques + `parallel_map` range halves).
+    /// Successful `parallel_map` range-half steals.
     pub steals: u64,
     /// `parallel_map` calls that actually fanned out (> 1 worker).
     pub parallel_maps: u64,
@@ -47,7 +44,6 @@ pub struct StatsSnapshot {
 /// Snapshot the process-wide counters.
 pub fn stats() -> StatsSnapshot {
     StatsSnapshot {
-        tasks_executed: TASKS.load(Ordering::Relaxed),
         steals: STEALS.load(Ordering::Relaxed),
         parallel_maps: MAPS.load(Ordering::Relaxed),
         arena_checkouts: ARENA_CHECKOUTS.load(Ordering::Relaxed),
@@ -68,10 +64,6 @@ pub fn record_batch_sweep() {
 /// Fold a chunk's staged SoA buffer footprint into the high-water mark.
 pub fn record_soa_staged_bytes(bytes: u64) {
     SOA_STAGED_HIGH_WATER_BYTES.fetch_max(bytes, Ordering::Relaxed);
-}
-
-pub(crate) fn record_task() {
-    TASKS.fetch_add(1, Ordering::Relaxed);
 }
 
 pub(crate) fn record_steal() {

@@ -55,8 +55,9 @@
 //!
 //! Requests may carry a client-minted `trace` id in the envelope; the
 //! service threads it through every span it records for that request —
-//! connection handling, cache lookup, queue wait, worker compute, and
-//! individual solver stages — into a bounded in-memory ring
+//! request handling, the wait for a handler thread, cache lookup, queue
+//! wait, worker compute, and individual solver stages — into a bounded
+//! in-memory ring
 //! (`epi-trace`). The `trace` protocol op reads spans back (optionally
 //! filtered by id, or the slow-decision log), and the `metrics` op
 //! renders every counter and per-stage latency histogram in Prometheus

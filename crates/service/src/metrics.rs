@@ -61,6 +61,9 @@ struct StageStats {
 pub struct Metrics {
     /// Protocol requests handled (all operations).
     pub requests: AtomicU64,
+    /// Requests the reactor answered itself, without a handler thread
+    /// (a subset of `requests`).
+    pub requests_inline: AtomicU64,
     /// Requests that needed a safety decision (disclose/cumulative past
     /// the negative-result gate).
     pub decide_requests: AtomicU64,
@@ -219,6 +222,7 @@ impl Metrics {
         let read = |c: &AtomicU64| c.load(Ordering::Relaxed);
         Snapshot {
             requests: read(&self.requests),
+            requests_inline: read(&self.requests_inline),
             decide_requests: read(&self.decide_requests),
             negative_gated: read(&self.negative_gated),
             cache_hits: read(&self.cache_hits),
@@ -254,7 +258,6 @@ impl Metrics {
             risk_sum_micros: read(&self.risk_sum_micros),
             risk_buckets: self.risk_buckets.iter().map(read).collect(),
             pool_workers: epi_par::Pool::global().threads() as u64,
-            pool_tasks: epi_par::stats().tasks_executed,
             pool_steals: epi_par::stats().steals,
             pool_arena_checkouts: epi_par::stats().arena_checkouts,
             pool_arena_misses: epi_par::stats().arena_misses,
@@ -298,6 +301,8 @@ impl Metrics {
 pub struct Snapshot {
     /// Protocol requests handled.
     pub requests: u64,
+    /// Requests the reactor answered without a handler thread.
+    pub requests_inline: u64,
     /// Requests that needed a safety decision.
     pub decide_requests: u64,
     /// Disclosures short-circuited by the negative-result rule.
@@ -373,8 +378,6 @@ pub struct Snapshot {
     pub risk_buckets: Vec<u64>,
     /// Worker threads in the process-wide [`epi_par`] solver pool.
     pub pool_workers: u64,
-    /// Tasks the solver pool has executed (process lifetime).
-    pub pool_tasks: u64,
     /// Work-stealing events in the solver pool (process lifetime).
     pub pool_steals: u64,
     /// Solver arena buffer checkouts (process lifetime).
@@ -462,6 +465,11 @@ impl Snapshot {
             self.requests,
         );
         counter(
+            "epi_requests_inline_total",
+            "Requests the reactor answered without a handler thread.",
+            self.requests_inline,
+        );
+        counter(
             "epi_decide_requests_total",
             "Requests that needed a safety decision.",
             self.decide_requests,
@@ -540,11 +548,6 @@ impl Snapshot {
             "epi_backpressure_stalls_total",
             "Read pauses triggered by per-connection backpressure.",
             self.backpressure_stalls,
-        );
-        counter(
-            "epi_pool_tasks_total",
-            "Tasks executed by the process-wide solver pool.",
-            self.pool_tasks,
         );
         counter(
             "epi_pool_steals_total",
@@ -814,6 +817,7 @@ impl Serialize for Snapshot {
     fn to_json(&self) -> Json {
         Json::obj([
             ("requests", Json::from(self.requests)),
+            ("requests_inline", Json::from(self.requests_inline)),
             ("decide_requests", Json::from(self.decide_requests)),
             ("negative_gated", Json::from(self.negative_gated)),
             ("cache_hits", Json::from(self.cache_hits)),
@@ -885,7 +889,6 @@ impl Serialize for Snapshot {
             ("risk_sum_micros", Json::from(self.risk_sum_micros)),
             ("risk_buckets", self.risk_buckets.to_json()),
             ("pool_workers", Json::from(self.pool_workers)),
-            ("pool_tasks", Json::from(self.pool_tasks)),
             ("pool_steals", Json::from(self.pool_steals)),
             (
                 "pool_arena_checkouts",
@@ -932,6 +935,9 @@ impl Deserialize for Snapshot {
         Ok(Snapshot {
             requests: field(v, "requests")?,
             decide_requests: field(v, "decide_requests")?,
+            // Absent in snapshots from daemons that answered every
+            // request on a handler thread.
+            requests_inline: opt_field(v, "requests_inline")?.unwrap_or(0),
             // Tolerant decode for counters that some daemon generations
             // omit: a snapshot from an older (or minimally-configured)
             // daemon must parse, with absent counters reading as zero.
@@ -980,7 +986,6 @@ impl Deserialize for Snapshot {
             risk_sum_micros: opt_field(v, "risk_sum_micros")?.unwrap_or(0),
             risk_buckets: opt_field(v, "risk_buckets")?.unwrap_or_else(|| vec![0; RISK_BUCKETS]),
             pool_workers: opt_field(v, "pool_workers")?.unwrap_or(0),
-            pool_tasks: opt_field(v, "pool_tasks")?.unwrap_or(0),
             pool_steals: opt_field(v, "pool_steals")?.unwrap_or(0),
             // Absent in snapshots from pre-arena daemons.
             pool_arena_checkouts: opt_field(v, "pool_arena_checkouts")?.unwrap_or(0),
@@ -1092,7 +1097,7 @@ mod tests {
                         | "risk_sum_micros"
                         | "risk_buckets"
                         | "pool_workers"
-                        | "pool_tasks"
+                        | "requests_inline"
                         | "pool_steals"
                         | "pool_arena_checkouts"
                         | "pool_arena_misses"
@@ -1117,6 +1122,7 @@ mod tests {
         }
         let back = Snapshot::from_json(&v).unwrap();
         assert_eq!(back.negative_gated, 0);
+        assert_eq!(back.requests_inline, 0);
         assert_eq!(back.connections_open, 0);
         assert_eq!(back.admission_rejects_deadline, 0);
         assert_eq!(back.admission_rejects_limit, 0);
@@ -1150,10 +1156,12 @@ mod tests {
         assert_eq!(back.risk_buckets, vec![0; RISK_BUCKETS]);
 
         // A daemon from before the best-first queue was retired also
-        // sent two pool-queue counters; their keys are ignored.
+        // sent two pool-queue counters, and one from before scoped tasks
+        // were retired a task counter; their keys are ignored.
         if let Json::Obj(fields) = &mut v {
             fields.push(("pool_queue_waits".into(), Json::from(7u64)));
             fields.push(("pool_queue_wait_micros".into(), Json::from(31_000u64)));
+            fields.push(("pool_tasks".into(), Json::from(4u64)));
         }
         assert_eq!(Snapshot::from_json(&v).unwrap(), back);
     }
@@ -1314,6 +1322,7 @@ mod tests {
         let text = snap.render_prometheus();
         for name in [
             "epi_requests_total",
+            "epi_requests_inline_total",
             "epi_decide_requests_total",
             "epi_negative_gated_total",
             "epi_cache_hits_total",
@@ -1330,7 +1339,6 @@ mod tests {
             "epi_connections_evicted_idle_total",
             "epi_connections_evicted_overflow_total",
             "epi_backpressure_stalls_total",
-            "epi_pool_tasks_total",
             "epi_pool_steals_total",
             "epi_pool_arena_checkouts_total",
             "epi_pool_arena_misses_total",

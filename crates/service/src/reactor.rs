@@ -4,37 +4,59 @@
 //! One (or `EPI_REACTOR_THREADS`) reactor thread(s) own the sockets. A
 //! reactor never blocks on I/O: it sleeps in the poller
 //! ([`epoll_shim::Poller`], level-triggered), reads whatever bytes are
-//! ready into a bounded per-connection buffer, scans them incrementally
-//! for `\n`-terminated frames (a frame may span any number of partial
-//! reads), and hands complete frames to a bounded **dispatch queue**.
-//! Handler threads pop frames, run the request through
-//! [`AuditService::handle_with_meta`] — which may block on the decision
-//! pool's gate, which is exactly why handlers are separate from
-//! reactors — and append the rendered reply to the connection's write
-//! queue, which the owning reactor drains as the socket accepts bytes
-//! (`EPOLLOUT`).
+//! ready into a bounded per-connection buffer, and scans them
+//! incrementally for `\n`-terminated frames (a frame may span any number
+//! of partial reads).
+//!
+//! # Which thread answers
+//!
+//! The reactor parses each complete frame and runs the request's first
+//! step, [`AuditService::begin`], which answers it when nothing on the
+//! way can block:
+//!
+//! * malformed frames, `ping`, `health`, `stats`, `metrics`, `trace`,
+//!   `session` and `budget`;
+//! * disclosures that need no decision (negative-gated, unparsable,
+//!   a bad state mask, refused by budget or degradation) and
+//!   disclosures whose verdict is already in the verdict cache.
+//!
+//! Such a reply goes onto the connection's write queue and out of the
+//! socket in the same loop iteration. Everything else — a disclosure
+//! that misses the cache, every `cumulative`, and every request on a
+//! durable store — goes, parsed, to a bounded **dispatch queue**. Handler
+//! threads pop it and run [`AuditService::finish`], which may block on
+//! the decision pool's gate; that is why handlers are separate from
+//! reactors. On a durable store even a `session` read can block: the
+//! session shard's lock is held across the disclosure log's append and
+//! fsync. A handler appends the rendered reply to the connection's write
+//! queue and wakes the owning reactor, which drains the queue as the
+//! socket accepts bytes (`EPOLLOUT`).
 //!
 //! # Pipelining and ordering
 //!
 //! A connection may have up to [`ServerOptions::max_inflight_per_conn`]
-//! requests in flight; replies are written in **completion** order, and
-//! clients match them to requests by envelope `id` (see
-//! `docs/PROTOCOL.md`). A connection that never exceeds one in-flight
-//! request observes the classic strict request→reply ordering.
+//! requests at the handlers; replies are written in **completion**
+//! order, and clients match them to requests by envelope `id` (see
+//! `docs/PROTOCOL.md`). A reply answered on the reactor completes at
+//! once, so it can overtake an earlier request still at a handler. A
+//! connection that never exceeds one in-flight request observes the
+//! classic strict request→reply ordering.
 //!
 //! # Backpressure
 //!
 //! The reactor stops consuming from a connection when any of its
 //! budgets is exhausted — in-flight cap reached, write queue past its
-//! high-water mark, dispatch queue full, or read buffer full — and
-//! resumes when the pressure drains. Sockets are never read into
-//! unbounded memory, and one slow or hostile peer only ever stalls
-//! itself: eviction (idle timeout, frame deadline, write-queue
-//! overflow, connection cap) reclaims what backpressure cannot.
+//! high-water mark (replies answered on the reactor count too), dispatch
+//! queue full, or read buffer full — and resumes when the pressure
+//! drains. Sockets are never read into unbounded memory, and one slow or
+//! hostile peer only ever stalls itself: eviction (idle timeout, frame
+//! deadline, write-queue overflow, connection cap) reclaims what
+//! backpressure cannot.
 
 use crate::metrics::Metrics;
-use crate::server::{draining_refusal, oversize_refusal, respond_to_line, ServerOptions};
-use crate::service::AuditService;
+use crate::proto::{Request, RequestMeta};
+use crate::server::{draining_refusal, oversize_refusal, parse_line, reply_line, ServerOptions};
+use crate::service::{AuditService, Deferred, Step};
 use epi_trace::Recorder;
 use epoll_shim::{Event, Interest, Poller};
 use std::collections::{HashMap, VecDeque};
@@ -54,6 +76,10 @@ const READ_CHUNK: usize = 16 * 1024;
 
 fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn micros(elapsed: Duration) -> u64 {
+    elapsed.as_micros().min(u128::from(u64::MAX)) as u64
 }
 
 /// [`ServerOptions`] resolved into the reactor's working limits.
@@ -96,10 +122,14 @@ impl Tuning {
     }
 }
 
-/// One parsed-off request line awaiting a handler thread.
+/// A request the reactor deferred, awaiting a handler thread.
 struct Job {
-    line: String,
+    request: Request,
+    meta: RequestMeta,
+    deferred: Deferred,
     conn: Arc<ConnShared>,
+    /// When the reactor queued it: the start of its `dispatch.wait` span.
+    enqueued: Instant,
 }
 
 /// The bounded reactor→handler queue.
@@ -194,8 +224,22 @@ fn handler_loop(
     dispatch: Arc<Dispatch>,
     shareds: Vec<Arc<ReactorShared>>,
 ) {
+    let tracer = service.tracer();
     while let Some(job) = dispatch.pop() {
-        let reply = respond_to_line(&service, &job.line);
+        let trace = job.meta.trace.as_deref();
+        let waited = micros(job.enqueued.elapsed());
+        tracer.record(
+            trace.map(Arc::from),
+            "dispatch.wait",
+            tracer.now_micros().saturating_sub(waited),
+            waited,
+            None,
+        );
+        let response = {
+            let _span = tracer.start(trace, "server.handle");
+            service.finish(&job.request, &job.meta, job.deferred)
+        };
+        let reply = reply_line(&response, job.meta.id.as_deref());
         let conn = job.conn;
         if !conn.closed.load(Ordering::Acquire) {
             lock(&conn.out).extend_from_slice(reply.as_bytes());
@@ -509,23 +553,33 @@ impl Reactor {
     /// settle close-vs-continue, update poller interest. Idempotent —
     /// called after reads, completions, writability, and retries.
     fn maintain(&mut self, token: u64) {
-        let flushed = {
+        let draining = self.draining.load(Ordering::SeqCst);
+        let (flushed, blocked) = {
             let Some(conn) = self.conns.get_mut(&token) else {
                 return;
             };
-            flush_conn(conn, self.service.tracer(), &self.metrics)
+            let tracer = self.service.tracer();
+            match flush_conn(conn, tracer, &self.metrics) {
+                FlushOutcome::Error => (FlushOutcome::Error, false),
+                _ => {
+                    let blocked = dispatch_frames(
+                        conn,
+                        &self.service,
+                        &self.dispatch,
+                        &self.metrics,
+                        &self.tuning,
+                        draining,
+                    );
+                    // Replies answered here go out now, not on the next
+                    // `EPOLLOUT`.
+                    (flush_conn(conn, tracer, &self.metrics), blocked)
+                }
+            }
         };
         if matches!(flushed, FlushOutcome::Error) {
             self.close(token, CloseKind::Normal);
             return;
         }
-        let draining = self.draining.load(Ordering::SeqCst);
-        let blocked = {
-            let Some(conn) = self.conns.get_mut(&token) else {
-                return;
-            };
-            dispatch_frames(conn, &self.dispatch, &self.tuning, draining)
-        };
         if blocked {
             self.dispatch_retry.push(token);
         }
@@ -704,15 +758,23 @@ fn flush_conn(conn: &mut Conn, tracer: &Recorder, metrics: &Metrics) -> FlushOut
 }
 
 /// Consumes as many complete frames from `rbuf` as capacity allows,
-/// submitting each to the dispatch queue. Returns `true` when a frame
-/// was held back *specifically* by a full dispatch queue (the caller
-/// schedules a retry). Also advances the frame-deadline clock.
+/// answering each on the spot or submitting it to the dispatch queue
+/// ([`try_submit`]). Returns `true` when a frame was held back
+/// *specifically* by a full dispatch queue (the caller schedules a
+/// retry). Also advances the frame-deadline clock.
 ///
 /// While `draining`, frames are not submitted at all: each complete
 /// frame is answered inline with a `draining` refusal (echoing the
 /// envelope `id`), so every byte the peer managed to send still gets a
 /// reply before the connection closes.
-fn dispatch_frames(conn: &mut Conn, dispatch: &Dispatch, tuning: &Tuning, draining: bool) -> bool {
+fn dispatch_frames(
+    conn: &mut Conn,
+    service: &AuditService,
+    dispatch: &Dispatch,
+    metrics: &Metrics,
+    tuning: &Tuning,
+    draining: bool,
+) -> bool {
     if conn.close_after_flush {
         conn.rbuf.clear();
         conn.scanned = 0;
@@ -746,7 +808,8 @@ fn dispatch_frames(conn: &mut Conn, dispatch: &Dispatch, tuning: &Tuning, draini
                     }
                     // EOF with an unterminated final line: serve it, as
                     // the blocking front-end always has.
-                    match try_submit(conn, dispatch, tuning, consumed, conn.rbuf.len()) {
+                    let end = conn.rbuf.len();
+                    match try_submit(conn, service, dispatch, metrics, tuning, consumed, end) {
                         Submit::Sent => consumed = conn.rbuf.len(),
                         Submit::NoCapacity => conn.pending_frame = true,
                         Submit::QueueFull => {
@@ -776,7 +839,7 @@ fn dispatch_frames(conn: &mut Conn, dispatch: &Dispatch, tuning: &Tuning, draini
                     consumed = nl + 1;
                     continue;
                 }
-                match try_submit(conn, dispatch, tuning, consumed, nl) {
+                match try_submit(conn, service, dispatch, metrics, tuning, consumed, nl) {
                     Submit::Sent => consumed = nl + 1,
                     Submit::NoCapacity => {
                         conn.pending_frame = true;
@@ -814,9 +877,15 @@ enum Submit {
     QueueFull,
 }
 
+/// Serves one frame: answers it on the reactor when its first step can
+/// ([`AuditService::begin`]), else queues it for a handler. A frame the
+/// full dispatch queue turns away stays in `rbuf` to be parsed again:
+/// its first step consumed nothing.
 fn try_submit(
     conn: &mut Conn,
+    service: &AuditService,
     dispatch: &Dispatch,
+    metrics: &Metrics,
     tuning: &Tuning,
     start: usize,
     end: usize,
@@ -827,14 +896,43 @@ fn try_submit(
     if lock(&conn.shared.out).len() >= tuning.write_high_water {
         return Submit::NoCapacity;
     }
-    let line = String::from_utf8_lossy(&conn.rbuf[start..end]).into_owned();
+    let line = String::from_utf8_lossy(&conn.rbuf[start..end]);
+    let (request, meta) = match parse_line(&line) {
+        Ok(parsed) => parsed,
+        Err(refusal) => {
+            lock(&conn.shared.out).extend_from_slice(refusal.as_bytes());
+            return Submit::Sent;
+        }
+    };
+    let tracer = service.tracer();
+    let (started, clock) = (tracer.now_micros(), Instant::now());
+    let deferred = match service.begin(&request, &meta) {
+        Step::Done(response) => {
+            tracer.record(
+                meta.trace.as_deref().map(Arc::from),
+                "server.handle",
+                started,
+                micros(clock.elapsed()),
+                None,
+            );
+            Metrics::incr(&metrics.requests_inline);
+            let reply = reply_line(&response, meta.id.as_deref());
+            lock(&conn.shared.out).extend_from_slice(reply.as_bytes());
+            return Submit::Sent;
+        }
+        Step::Defer(deferred) => deferred,
+    };
     // Count the request in flight *before* publishing it: the handler's
     // decrement must never observe the pre-increment value.
     conn.shared.inflight.fetch_add(1, Ordering::AcqRel);
-    if dispatch.try_push(Job {
-        line,
+    let job = Job {
+        request,
+        meta,
+        deferred,
         conn: Arc::clone(&conn.shared),
-    }) {
+        enqueued: Instant::now(),
+    };
+    if dispatch.try_push(job) {
         Submit::Sent
     } else {
         conn.shared.inflight.fetch_sub(1, Ordering::AcqRel);

@@ -8,15 +8,22 @@
 //!   poller: nonblocking sockets, bounded per-connection read buffers
 //!   with incremental frame scanning, bounded write queues drained on
 //!   writability, request pipelining, and per-connection backpressure.
-//!   Idle connections cost a few hundred bytes, not a thread.
+//!   Idle connections cost a few hundred bytes, not a thread. The
+//!   reactor answers every request that cannot block itself (reads,
+//!   malformed lines, disclosures that need no decision or whose
+//!   verdict is cached) and hands only the rest to
+//!   [`ServerOptions::handler_threads`] handler threads: disclosures
+//!   that miss the verdict cache, every `cumulative`, and — because a
+//!   session shard's lock is held across the disclosure log's fsync —
+//!   every request on a durable store.
 //! * **Thread-per-connection** (legacy, and the fallback wherever the
 //!   poller is unsupported) — one acceptor thread, one blocking thread
-//!   per connection.
+//!   per connection, which runs [`AuditService::handle_with_meta`].
 //!
-//! Either way each request line is parsed, dispatched through
-//! [`AuditService::handle_with_meta`], and answered with one response
-//! line. Malformed lines produce an `error` response on the same
-//! connection rather than tearing it down.
+//! Either way each request line is parsed once and answered with one
+//! response line, the same bytes whichever thread answers it.
+//! Malformed lines produce an `error` response on the same connection
+//! rather than tearing it down.
 //!
 //! # Fault tolerance
 //!
@@ -31,7 +38,7 @@
 
 use crate::proto::{ErrorCode, Request, RequestMeta, Response};
 use crate::service::AuditService;
-use epi_json::{Deserialize, Json, Serialize};
+use epi_json::{Deserialize, Json};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -76,8 +83,9 @@ pub struct ServerOptions {
     /// Reactor threads multiplexing connections. `0` (default) reads
     /// `EPI_REACTOR_THREADS`, else uses 1.
     pub reactor_threads: usize,
-    /// Threads turning parsed frames into responses (they block on the
-    /// decision pool's gate, so this bounds in-flight protocol work).
+    /// Threads finishing the requests the reactor cannot answer without
+    /// blocking (they block on the decision pool's gate or a WAL fsync,
+    /// so this bounds in-flight blocking work).
     pub handler_threads: usize,
     /// Bound on the reactor→handler dispatch queue; when full,
     /// connections stop being read (backpressure) instead of buffering
@@ -389,36 +397,49 @@ fn read_bounded_line(
     }
 }
 
-/// Parses one request line and produces the response line to send back,
-/// recording the `server.handle` span. Shared verbatim by both
-/// front-ends so replies are byte-identical whichever serves them.
-pub(crate) fn respond_to_line(service: &AuditService, line: &str) -> String {
-    let (response, id) = match Json::parse(line.trim_end_matches(['\n', '\r'])) {
-        Ok(value) => {
-            // The envelope is read even when the op is bad, so error
-            // responses still echo the client's request id.
-            let meta = RequestMeta::from_json(&value).unwrap_or_default();
-            let response = match Request::from_json(&value) {
-                Ok(request) => {
-                    let span = service
-                        .tracer()
-                        .start(meta.trace.as_deref(), "server.handle");
-                    let response = service.handle_with_meta(&request, &meta);
-                    drop(span);
-                    response
-                }
-                Err(e) => Response::bad_request(format!("bad request: {}", e.message)),
-            };
-            (response, meta.id)
+/// Parses one request line into its request and envelope. A line that
+/// does not parse gets its `bad_request` reply line instead; the
+/// envelope is read even when the op is bad, so that reply still echoes
+/// the client's request id.
+pub(crate) fn parse_line(line: &str) -> Result<(Request, RequestMeta), String> {
+    let value = Json::parse(line.trim_end_matches(['\n', '\r'])).map_err(|e| {
+        let refusal =
+            Response::bad_request(format!("bad JSON at byte {}: {}", e.offset, e.message));
+        reply_line(&refusal, None)
+    })?;
+    let meta = RequestMeta::from_json(&value).unwrap_or_default();
+    match Request::from_json(&value) {
+        Ok(request) => Ok((request, meta)),
+        Err(e) => {
+            let refusal = Response::bad_request(format!("bad request: {}", e.message));
+            Err(reply_line(&refusal, meta.id.as_deref()))
         }
-        Err(e) => (
-            Response::bad_request(format!("bad JSON at byte {}: {}", e.offset, e.message)),
-            None,
-        ),
-    };
-    let mut out = response.to_json_with_id(id.as_deref()).render();
+    }
+}
+
+/// Renders one reply line, echoing the request's envelope id.
+pub(crate) fn reply_line(response: &Response, id: Option<&str>) -> String {
+    let mut out = response.to_json_with_id(id).render();
     out.push('\n');
     out
+}
+
+/// Parses one request line and produces the response line to send back,
+/// recording the `server.handle` span — the blocking front-end's whole
+/// request path.
+fn respond_to_line(service: &AuditService, line: &str) -> String {
+    match parse_line(line) {
+        Ok((request, meta)) => {
+            let response = {
+                let _span = service
+                    .tracer()
+                    .start(meta.trace.as_deref(), "server.handle");
+                service.handle_with_meta(&request, &meta)
+            };
+            reply_line(&response, meta.id.as_deref())
+        }
+        Err(refusal) => refusal,
+    }
 }
 
 /// The refusal line for an oversized request frame (shared by both
@@ -426,9 +447,7 @@ pub(crate) fn respond_to_line(service: &AuditService, line: &str) -> String {
 /// unreadable by construction).
 pub(crate) fn oversize_refusal(max_line_bytes: usize) -> String {
     let refusal = Response::bad_request(format!("request line exceeds {} bytes", max_line_bytes));
-    let mut out = refusal.to_json().render();
-    out.push('\n');
-    out
+    reply_line(&refusal, None)
 }
 
 /// The refusal line for a frame that arrived after drain began. Unlike
@@ -447,9 +466,7 @@ pub(crate) fn draining_refusal(line: &str) -> String {
         message: "service is draining; no new audit work is accepted".to_owned(),
         retry_after_ms: None,
     };
-    let mut out = refusal.to_json_with_id(id.as_deref()).render();
-    out.push('\n');
-    out
+    reply_line(&refusal, id.as_deref())
 }
 
 fn handle_connection(service: &AuditService, stream: TcpStream, options: ServerOptions) {

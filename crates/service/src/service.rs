@@ -4,8 +4,10 @@
 //! [`DecisionPool`](crate::worker::DecisionPool) and the [`Metrics`]
 //! registry, and maps protocol [`Request`]s to [`Response`]s. The TCP
 //! server in [`crate::server`] is a thin line-framing layer over
-//! [`AuditService::handle_with_meta`]; tests and embedders can call it
-//! directly.
+//! [`AuditService::handle_with_meta`], which its reactor runs in two
+//! steps — the non-blocking `begin` on the reactor thread and, only
+//! when that defers, the blocking `finish` on a handler thread; tests
+//! and embedders can call it directly.
 //!
 //! # Fault tolerance
 //!
@@ -35,7 +37,7 @@ use epi_audit::auditor::{EntryKind, ReportEntry};
 use epi_audit::query::parse;
 use epi_audit::{Auditor, Decision, Finding, PriorAssumption, Query, Schema};
 use epi_core::risk::RISK_SCALE;
-use epi_core::{CancelToken, Deadline, WorldId};
+use epi_core::{CancelToken, Deadline, WorldId, WorldSet};
 use epi_solver::ProductSolverOptions;
 use epi_trace::{Recorder, SpanRecord};
 use epi_wal::{FsyncPolicy, RecoveryReport, Wal, WalConfig, WalError};
@@ -353,6 +355,41 @@ impl DedupeCache {
     }
 }
 
+/// What [`AuditService::begin`] made of a request.
+pub(crate) enum Step {
+    /// Answered without blocking.
+    Done(Response),
+    /// To be answered by [`AuditService::finish`] on a thread that may
+    /// block. Nothing has been counted, taken or remembered for it yet.
+    Defer(Deferred),
+}
+
+/// A deferred request's preparation: `None` on a durable store, where
+/// the first step does nothing at all.
+pub(crate) struct Deferred(Option<Prepared>);
+
+/// What a request reads before it is answered.
+struct Prepared {
+    deadline: Deadline,
+    mode: DegradationMode,
+    /// A disclosure's compiled sets, or the reply to a disclosure that
+    /// does not compile; `None` for every other request.
+    disclosure: Option<Result<Compiled, Response>>,
+}
+
+/// A disclosure compiled against the schema.
+struct Compiled {
+    query: Query,
+    /// The truthful answer to `query` in the disclosure's state.
+    answer: bool,
+    disclosed: WorldSet,
+    /// The decision the disclosure needs; `None` when the negative-result
+    /// rule excuses it.
+    key: Option<DecisionKey>,
+    /// The verdict the cache held for `key` when it was compiled.
+    cached: Option<Decision>,
+}
+
 /// The auditing daemon's engine: session state, decision workers, cache
 /// and metrics behind a single request-handling entry point.
 pub struct AuditService {
@@ -618,17 +655,54 @@ impl AuditService {
     /// Handles one protocol request under its envelope: applies the
     /// request deadline (or the configured default), and replays the
     /// stored response for an id the service has already answered with a
-    /// final (non-retryable) outcome.
+    /// final (non-retryable) outcome. Runs [`AuditService::begin`] and,
+    /// when that defers, [`AuditService::finish`] back to back.
     pub fn handle_with_meta(&self, request: &Request, meta: &RequestMeta) -> Response {
-        Metrics::incr(&self.metrics.requests);
-        let trace = meta.trace.as_deref();
-        if let Some(id) = &meta.id {
-            if let Some(replay) = self.dedupe.get(id) {
-                self.tracer
-                    .event(trace, "dedupe.replay", Some(format!("id={id}")));
-                return replay;
-            }
+        match self.begin(request, meta) {
+            Step::Done(response) => response,
+            Step::Defer(deferred) => self.finish(request, meta, deferred),
         }
+    }
+
+    /// The first step of a request: answers it when no part of the
+    /// answer can block, else defers it to [`AuditService::finish`] on a
+    /// thread that may block.
+    ///
+    /// Only a disclosure whose verdict is not cached (in normal or
+    /// shedding mode) and a `cumulative` wait on the decision pool. On a
+    /// durable store everything is deferred: a session read or the
+    /// degradation ladder's storage signal can wait on a WAL shard lock
+    /// that is held across an fsync.
+    ///
+    /// The decision to defer reads state but changes none: the `requests`
+    /// counter, the fairness token and the dedupe window are touched only
+    /// by the step that answers, so a deferred request counts once.
+    pub(crate) fn begin(&self, request: &Request, meta: &RequestMeta) -> Step {
+        if self.sessions.wal().is_some() {
+            return Step::Defer(Deferred(None));
+        }
+        let prepared = self.prepare(request, meta);
+        if self.needs_pool(request, &prepared) {
+            return Step::Defer(Deferred(Some(prepared)));
+        }
+        Step::Done(self.serve(request, meta, prepared))
+    }
+
+    /// The blocking step of a request [`AuditService::begin`] deferred.
+    pub(crate) fn finish(
+        &self,
+        request: &Request,
+        meta: &RequestMeta,
+        deferred: Deferred,
+    ) -> Response {
+        let prepared = deferred.0.unwrap_or_else(|| self.prepare(request, meta));
+        self.serve(request, meta, prepared)
+    }
+
+    /// Everything about a request that is read, not consumed: the
+    /// deadline (its clock starts here), the degradation mode, and a
+    /// disclosure's compiled sets with the verdict the cache holds.
+    fn prepare(&self, request: &Request, meta: &RequestMeta) -> Prepared {
         let deadline = match meta
             .deadline_ms
             .map(Duration::from_millis)
@@ -638,6 +712,58 @@ impl AuditService {
             None => Deadline::none(),
         };
         let mode = self.evaluate_ladder();
+        let disclosure = match request {
+            Request::Disclose {
+                query,
+                state_mask,
+                audit_query,
+                ..
+            } => Some(self.compile_disclosure(query, *state_mask, audit_query)),
+            _ => None,
+        };
+        Prepared {
+            deadline,
+            mode,
+            disclosure,
+        }
+    }
+
+    /// Whether answering `request` would wait on the decision pool.
+    /// Every early exit counted here as not waiting is one that cannot
+    /// change before [`AuditService::serve`] runs: compiled sets, the
+    /// prepared mode and cached verdict, and a budget spend, which only
+    /// grows. A fairness rejection can; an uncached disclosure from a
+    /// user over their rate is therefore deferred and refused there.
+    fn needs_pool(&self, request: &Request, prepared: &Prepared) -> bool {
+        match (request, &prepared.disclosure) {
+            (Request::Cumulative { .. }, _) => true,
+            (Request::Disclose { user, .. }, Some(Ok(compiled))) => {
+                compiled.key.is_some()
+                    && compiled.cached.is_none()
+                    && prepared.mode < DegradationMode::CacheOnly
+                    && self.budget_denial(user).is_none()
+            }
+            _ => false,
+        }
+    }
+
+    /// Answers a prepared request, counting it, checking and filling the
+    /// dedupe window, and deciding through the pool when it must.
+    fn serve(&self, request: &Request, meta: &RequestMeta, prepared: Prepared) -> Response {
+        Metrics::incr(&self.metrics.requests);
+        let trace = meta.trace.as_deref();
+        if let Some(id) = &meta.id {
+            if let Some(replay) = self.dedupe.get(id) {
+                self.tracer
+                    .event(trace, "dedupe.replay", Some(format!("id={id}")));
+                return replay;
+            }
+        }
+        let Prepared {
+            deadline,
+            mode,
+            disclosure,
+        } = prepared;
         if self.is_draining()
             && matches!(
                 request,
@@ -658,15 +784,13 @@ impl AuditService {
             Request::Disclose {
                 user,
                 time,
-                query,
                 state_mask,
-                audit_query,
+                ..
             } => self.disclose(
                 user,
                 *time,
-                query,
                 *state_mask,
-                audit_query,
+                disclosure.expect("every disclosure is compiled when prepared"),
                 &deadline,
                 trace,
                 mode,
@@ -757,14 +881,65 @@ impl AuditService {
             .map_err(|e| Response::bad_request(format!("cannot parse `{text}`: {e}")))
     }
 
-    /// Submits a decision, translating pool-level failures into the typed
-    /// error envelope. An already-expired deadline short-circuits before
-    /// touching the queue.
+    /// Compiles a disclosure against the schema: the disclosed set (the
+    /// query or its complement, as the truthful answer in `state_mask`
+    /// has it) and, unless the negative-result rule excuses it, the
+    /// decision it needs with any verdict the cache already holds.
+    fn compile_disclosure(
+        &self,
+        query_text: &str,
+        state_mask: u32,
+        audit_text: &str,
+    ) -> Result<Compiled, Response> {
+        let audit_set = self.parse(audit_text)?.compile(&self.schema);
+        let query = self.parse(query_text)?;
+        let query_set = query.compile(&self.schema);
+        if (state_mask as usize) >= query_set.universe_size() {
+            return Err(Response::bad_request(format!(
+                "state mask {state_mask:#b} does not denote a world of the {}-record schema",
+                self.schema.len()
+            )));
+        }
+        // The truthful answer, exactly as the offline log computes it.
+        let answer = query_set.contains(WorldId(state_mask));
+        let disclosed = if answer {
+            query_set
+        } else {
+            query_set.complement()
+        };
+        // The negative-result rule: a disclosure made while the audited
+        // property is false needs no decision at all — only the session
+        // update.
+        let key = audit_set
+            .contains(WorldId(state_mask))
+            .then(|| DecisionKey {
+                audit: audit_set,
+                disclosed: disclosed.clone(),
+                assumption: self.assumption,
+            });
+        let cached = key.as_ref().and_then(|key| self.pool.peek(key));
+        Ok(Compiled {
+            query,
+            answer,
+            disclosed,
+            key,
+            cached,
+        })
+    }
+
+    /// The verdict for `key`, translating pool-level failures into the
+    /// typed error envelope. `cached` is what the verdict cache held when
+    /// the request was prepared: a hit is served after the same checks,
+    /// in the same order, as a hit inside the pool. Without one,
+    /// `CacheOnly` fails closed, and otherwise the pool decides, which
+    /// may block. An already-expired deadline short-circuits first.
     fn decide(
         &self,
         key: DecisionKey,
+        cached: Option<Decision>,
         deadline: &Deadline,
         trace: Option<&str>,
+        mode: DegradationMode,
     ) -> Result<Decision, Response> {
         if deadline.should_stop() {
             Metrics::incr(&self.metrics.deadline_exceeded);
@@ -775,7 +950,24 @@ impl AuditService {
             });
         }
         Metrics::incr(&self.metrics.decide_requests);
-        self.pool.decide_traced(key, deadline, trace).map_err(|e| {
+        let outcome = match cached {
+            Some(hit) => Ok(self.pool.serve_hit(hit, trace)),
+            // CacheOnly degradation: the queue is the resource being
+            // protected, so a degraded answer is a cached one —
+            // byte-identical to a healthy one — or a retryable refusal.
+            None if mode == DegradationMode::CacheOnly => {
+                Metrics::incr(&self.metrics.admission_rejects_degraded);
+                return Err(Response::Error {
+                    code: ErrorCode::Overloaded,
+                    message: "service is degraded to cached verdicts only and has \
+                              no cached verdict for this decision"
+                        .to_owned(),
+                    retry_after_ms: Some(self.retry_after_ms),
+                });
+            }
+            None => self.pool.decide_traced(key, deadline, trace),
+        };
+        outcome.map_err(|e| {
             let (code, retry_after_ms) = match e {
                 DecideError::Overloaded => (ErrorCode::Overloaded, Some(self.retry_after_ms)),
                 // Admission predicted the deadline cannot be met: the
@@ -793,14 +985,23 @@ impl AuditService {
         })
     }
 
+    /// The budget a user has spent, when it is at or past the deny
+    /// threshold (always `None` with budgets disabled).
+    fn budget_denial(&self, user: &str) -> Option<u64> {
+        if !self.budget.enabled() {
+            return None;
+        }
+        let spent = self.budget.spent(&self.sessions.get(user)?);
+        (spent >= self.budget.deny_threshold()).then_some(spent)
+    }
+
     #[allow(clippy::too_many_arguments)]
     fn disclose(
         &self,
         user: &str,
         time: u64,
-        query_text: &str,
         state_mask: u32,
-        audit_text: &str,
+        compiled: Result<Compiled, Response>,
         deadline: &Deadline,
         trace: Option<&str>,
         mode: DegradationMode,
@@ -822,105 +1023,46 @@ impl AuditService {
             };
         }
         // The O(1) budget deny: a user past the deny threshold is
-        // refused on a single session-store lookup — before query
-        // compilation and before anything touches the admission path or
-        // the decision queue, so near-budget users cost no solver work
-        // at all (`decide_requests` and the queue metrics stay flat).
-        if self.budget.enabled() {
-            if let Some(session) = self.sessions.get(user) {
-                let spent = self.budget.spent(&session);
-                if spent >= self.budget.deny_threshold() {
-                    Metrics::incr(&self.metrics.budget_exhausted_denials);
-                    return Response::Error {
-                        code: ErrorCode::BudgetExhausted,
-                        message: format!(
-                            "user `{user}` has exhausted their exposure budget \
-                             (spent {spent} of {} micro-units under the `{}` rule)",
-                            self.budget.cap_micros,
-                            self.budget.compose.as_str()
-                        ),
-                        retry_after_ms: None,
-                    };
-                }
-            }
-        }
-        let audit_set = match self.parse(audit_text) {
-            Ok(q) => q.compile(&self.schema),
-            Err(resp) => return resp,
-        };
-        let query = match self.parse(query_text) {
-            Ok(q) => q,
-            Err(resp) => return resp,
-        };
-        let query_set = query.compile(&self.schema);
-        if (state_mask as usize) >= query_set.universe_size() {
-            return Response::bad_request(format!(
-                "state mask {state_mask:#b} does not denote a world of the {}-record schema",
-                self.schema.len()
-            ));
-        }
-        // The truthful answer, exactly as the offline log computes it.
-        let answer = query_set.contains(WorldId(state_mask));
-        let disclosed = if answer {
-            query_set
-        } else {
-            query_set.complement()
-        };
-        // The negative-result rule: a disclosure made while the audited
-        // property is false needs no decision at all — only the session
-        // update below.
-        let gated = !audit_set.contains(WorldId(state_mask));
-        // CacheOnly degradation: the verdict must come from the LRU
-        // cache (the queue is the resource being protected), so a
-        // degraded answer is byte-identical to a healthy one; anything
-        // uncached fails closed with a retry hint.
-        let prefetched = if mode == DegradationMode::CacheOnly && !gated {
-            let key = DecisionKey {
-                audit: audit_set.clone(),
-                disclosed: disclosed.clone(),
-                assumption: self.assumption,
+        // refused on a single session-store lookup — before anything
+        // touches the admission path or the decision queue, so
+        // near-budget users cost no solver work at all
+        // (`decide_requests` and the queue metrics stay flat).
+        if let Some(spent) = self.budget_denial(user) {
+            Metrics::incr(&self.metrics.budget_exhausted_denials);
+            return Response::Error {
+                code: ErrorCode::BudgetExhausted,
+                message: format!(
+                    "user `{user}` has exhausted their exposure budget \
+                     (spent {spent} of {} micro-units under the `{}` rule)",
+                    self.budget.cap_micros,
+                    self.budget.compose.as_str()
+                ),
+                retry_after_ms: None,
             };
-            match self.pool.cached(&key) {
-                Some(decision) => Some(decision),
-                None => {
-                    Metrics::incr(&self.metrics.admission_rejects_degraded);
-                    return Response::Error {
-                        code: ErrorCode::Overloaded,
-                        message: "service is degraded to cached verdicts only and has \
-                                  no cached verdict for this decision"
-                            .to_owned(),
-                        retry_after_ms: Some(self.retry_after_ms),
-                    };
-                }
-            }
-        } else {
-            None
+        }
+        let Compiled {
+            query,
+            answer,
+            disclosed,
+            key,
+            cached,
+        } = match compiled {
+            Ok(compiled) => compiled,
+            Err(resp) => return resp,
         };
-        // The verdict is secured *before* the session is mutated — in
-        // every mode, not just CacheOnly. A decision the pool sheds,
-        // times out, or loses to a worker panic must leave no trace
-        // behind: the client is told to retry, and the retried
-        // disclosure must be recorded exactly once, not once per
-        // attempt. Deciding first is sound because the verdict depends
-        // only on the `(audit, disclosed)` pair, never on the session.
-        let decision = if gated {
-            None
-        } else {
-            Some(match prefetched {
-                Some(d) => d,
-                None => match self.decide(
-                    DecisionKey {
-                        audit: audit_set,
-                        disclosed: disclosed.clone(),
-                        assumption: self.assumption,
-                    },
-                    deadline,
-                    trace,
-                ) {
-                    Ok(d) => d,
-                    Err(resp) => return resp,
-                },
-            })
+        // The verdict is secured *before* the session is mutated. A
+        // decision the pool sheds, times out, or loses to a worker panic
+        // must leave no trace behind: the client is told to retry, and
+        // the retried disclosure must be recorded exactly once, not once
+        // per attempt. Deciding first is sound because the verdict
+        // depends only on the `(audit, disclosed)` pair, never on the
+        // session.
+        let decision = match key {
+            None => None,
+            Some(key) => match self.decide(key, cached, deadline, trace, mode) {
+                Ok(d) => Some(d),
+                Err(resp) => return resp,
+            },
         };
         // The decision's normalized risk score: zero for negative-gated
         // disclosures (nothing about the audited property was
@@ -1085,29 +1227,12 @@ impl AuditService {
             disclosed: session.knowledge.clone(),
             assumption: self.assumption,
         };
-        let decision = if mode == DegradationMode::CacheOnly {
-            // Cumulative is read-only, so nothing needs un-mutating on a
-            // refusal — but the fail-closed rule is the same: a cached
-            // verdict is exact, anything else is a typed error, never an
-            // unchecked `safe`.
-            match self.pool.cached(&key) {
-                Some(d) => d,
-                None => {
-                    Metrics::incr(&self.metrics.admission_rejects_degraded);
-                    return Response::Error {
-                        code: ErrorCode::Overloaded,
-                        message: "service is degraded to cached verdicts only and has \
-                                  no cached verdict for this decision"
-                            .to_owned(),
-                        retry_after_ms: Some(self.retry_after_ms),
-                    };
-                }
-            }
-        } else {
-            match self.decide(key, deadline, trace) {
-                Ok(d) => d,
-                Err(resp) => return resp,
-            }
+        // Cumulative is read-only, so nothing needs un-mutating on a
+        // refusal; the fail-closed rule is the same as for a disclosure.
+        let cached = self.pool.peek(&key);
+        let decision = match self.decide(key, cached, deadline, trace, mode) {
+            Ok(d) => d,
+            Err(resp) => return resp,
         };
         Response::Entry(ReportEntry {
             user: user.to_owned(),

@@ -359,15 +359,21 @@ impl DecisionPool {
         self.shared.shed_on_limit.store(on, Ordering::Relaxed);
     }
 
-    /// Peeks the verdict cache without enqueueing anything — the
-    /// `CacheOnly` degradation rung serves from this and otherwise fails
-    /// closed. A hit counts toward `cache_hits` like any other.
-    pub fn cached(&self, key: &DecisionKey) -> Option<Decision> {
-        let hit = self.shared.cache.get(key);
-        if hit.is_some() {
-            Metrics::incr(&self.shared.metrics.cache_hits);
-        }
-        hit
+    /// Peeks the verdict cache without enqueueing or counting anything.
+    /// A caller that answers from the peeked verdict hands it to
+    /// [`DecisionPool::serve_hit`], which counts it.
+    pub fn peek(&self, key: &DecisionKey) -> Option<Decision> {
+        self.shared.cache.get(key)
+    }
+
+    /// Serves a verdict [`DecisionPool::peek`] found, recorded as the
+    /// cache hit [`DecisionPool::decide_traced`] would have counted: a
+    /// `cache.lookup` span and one `cache_hits`.
+    pub fn serve_hit(&self, decision: Decision, trace: Option<&str>) -> Decision {
+        let mut lookup = self.shared.tracer.start(trace, "cache.lookup");
+        Metrics::incr(&self.shared.metrics.cache_hits);
+        lookup.detail("hit");
+        decision
     }
 
     /// Decides `(A, B)` under the pool's prior assumption, consulting the
@@ -947,10 +953,12 @@ mod tests {
     fn cached_peek_never_enqueues() {
         let p = pool(2);
         let k = key(&[1, 3], &[0, 2, 3]);
-        assert!(p.cached(&k).is_none(), "cold cache peek is a miss");
+        assert!(p.peek(&k).is_none(), "cold cache peek is a miss");
         let decided = p.decide(k.clone()).unwrap();
-        assert_eq!(p.cached(&k).unwrap(), decided);
-        assert_eq!(p.shared.metrics.snapshot().computed, 1);
+        assert_eq!(p.peek(&k).unwrap(), decided);
+        let m = p.shared.metrics.snapshot();
+        assert_eq!(m.computed, 1);
+        assert_eq!(m.cache_hits, 0, "a peek counts nothing");
     }
 
     #[test]

@@ -539,3 +539,269 @@ fn reactor_serves_a_high_connection_fanout() {
     }
     server.shutdown();
 }
+
+/// One request line with an envelope, as the wire carries it.
+fn frame(request: &Request, meta: &RequestMeta) -> String {
+    let mut line = meta.decorate(request.to_json()).render();
+    line.push('\n');
+    line
+}
+
+fn meta(id: &str) -> RequestMeta {
+    RequestMeta {
+        id: Some(id.to_owned()),
+        deadline_ms: None,
+        trace: None,
+    }
+}
+
+/// Sends one frame and reads one reply line, failing instead of hanging
+/// when no reply comes within the stream's read timeout.
+fn exchange(reader: &mut BufReader<TcpStream>, line: &str) -> String {
+    reader.get_mut().write_all(line.as_bytes()).expect("write");
+    let mut reply = String::new();
+    let n = reader
+        .read_line(&mut reply)
+        .unwrap_or_else(|e| panic!("no reply to {line:?}: {e}"));
+    assert!(n > 0, "connection closed before replying to {line:?}");
+    reply
+}
+
+fn connect(server: &Server) -> BufReader<TcpStream> {
+    let stream = TcpStream::connect(server.addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("timeout");
+    BufReader::new(stream)
+}
+
+/// With the only handler thread stuck inside a decision, requests that
+/// cannot block are still answered: the reactor serves them itself.
+#[test]
+fn reactor_answers_cheap_requests_while_the_handler_is_stalled() {
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    let stall = Arc::new(AtomicBool::new(false));
+    let entered = Arc::new(AtomicUsize::new(0));
+    let (hook_stall, hook_entered) = (Arc::clone(&stall), Arc::clone(&entered));
+    let hook: FaultHook = Arc::new(move |_key| {
+        hook_entered.fetch_add(1, Ordering::SeqCst);
+        while hook_stall.load(Ordering::SeqCst) {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    });
+    let service = Arc::new(AuditService::with_fault_hook(
+        schema(),
+        ServiceConfig {
+            assumption: PriorAssumption::Product,
+            workers: 2,
+            ..ServiceConfig::default()
+        },
+        Some(hook),
+    ));
+    let server = Server::spawn_with(
+        Arc::clone(&service),
+        "127.0.0.1:0",
+        ServerOptions {
+            mode: ServerMode::Reactor,
+            handler_threads: 1,
+            ..ServerOptions::default()
+        },
+    )
+    .expect("bind");
+
+    // Warm the verdict cache for `hiv_pos` disclosed while true.
+    let mut second = connect(&server);
+    let warm = exchange(&mut second, &frame(&disclose("warm", 1), &meta("warm")));
+    assert!(warm.contains("\"kind\":\"entry\""), "{warm}");
+    assert_eq!(entered.load(Ordering::SeqCst), 1);
+
+    // Park the only handler inside a decision the cache cannot answer.
+    stall.store(true, Ordering::SeqCst);
+    let mut first = connect(&server);
+    let uncached = Request::Disclose {
+        user: "stuck".to_owned(),
+        time: 1,
+        query: "transfusions".to_owned(),
+        state_mask: 0b11,
+        audit_query: "hiv_pos".to_owned(),
+    };
+    first
+        .get_mut()
+        .write_all(frame(&uncached, &meta("stuck")).as_bytes())
+        .expect("write");
+    let started = Instant::now();
+    while entered.load(Ordering::SeqCst) < 2 {
+        assert!(started.elapsed() < Duration::from_secs(10), "never decided");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+
+    let hit = exchange(&mut second, &frame(&disclose("hit", 1), &meta("hit")));
+    assert!(hit.contains("\"finding\":\"flagged\""), "{hit}");
+    let gated = exchange(
+        &mut second,
+        &frame(&disclose("gated", 0b10), &meta("gated")),
+    );
+    assert!(gated.contains("not protected"), "{gated}");
+    let session = Request::SessionInfo {
+        user: "warm".to_owned(),
+    };
+    let read = exchange(&mut second, &frame(&session, &meta("read")));
+    assert!(read.contains("\"disclosures\":1"), "{read}");
+    assert!(service.metrics().requests_inline >= 3);
+
+    stall.store(false, Ordering::SeqCst);
+    let mut reply = String::new();
+    first.read_line(&mut reply).expect("stalled reply");
+    assert!(reply.contains("\"id\":\"stuck\""), "{reply}");
+    server.shutdown();
+}
+
+/// A cached verdict answered on the reactor still honours an expired
+/// deadline, with the very bytes the in-process path returns.
+#[test]
+fn expired_deadline_on_a_cached_verdict_matches_in_process_bytes() {
+    let service = service(2);
+    let server = Server::spawn_with(
+        Arc::clone(&service),
+        "127.0.0.1:0",
+        ServerOptions::default(),
+    )
+    .expect("bind");
+    let mut conn = connect(&server);
+    let warm = exchange(&mut conn, &frame(&disclose("warm", 1), &meta("warm")));
+    assert!(warm.contains("\"kind\":\"entry\""), "{warm}");
+
+    let expired = RequestMeta {
+        id: Some("late".to_owned()),
+        deadline_ms: Some(0),
+        trace: None,
+    };
+    let request = disclose("late", 1);
+    let inline_before = service.metrics().requests_inline;
+    let over_tcp = exchange(&mut conn, &frame(&request, &expired));
+    assert_eq!(service.metrics().requests_inline, inline_before + 1);
+    let mut in_process = service
+        .handle_with_meta(&request, &expired)
+        .to_json_with_id(expired.id.as_deref())
+        .render();
+    in_process.push('\n');
+    assert_eq!(over_tcp, in_process);
+    assert!(over_tcp.contains("deadline_exceeded"), "{over_tcp}");
+    server.shutdown();
+}
+
+/// On a durable store every request can wait on an fsync, so none is
+/// answered on the reactor.
+#[test]
+fn durable_daemon_answers_nothing_on_the_reactor() {
+    let dir = epi_wal::testdir::TempDir::new("reactor-durable");
+    let service = Arc::new(
+        AuditService::open(
+            schema(),
+            ServiceConfig {
+                assumption: PriorAssumption::Product,
+                workers: 2,
+                data_dir: Some(dir.path().to_path_buf()),
+                wal_fsync: epi_wal::FsyncPolicy::Never,
+                ..ServiceConfig::default()
+            },
+        )
+        .expect("open"),
+    );
+    let server = Server::spawn_with(
+        Arc::clone(&service),
+        "127.0.0.1:0",
+        ServerOptions::default(),
+    )
+    .expect("bind");
+    let mut conn = connect(&server);
+    let requests = [
+        disclose("d", 1),
+        disclose("d", 1),
+        disclose("d", 0b10),
+        Request::SessionInfo {
+            user: "d".to_owned(),
+        },
+        Request::Ping,
+        Request::Stats,
+    ];
+    for (i, request) in requests.iter().enumerate() {
+        let reply = exchange(&mut conn, &frame(request, &meta(&format!("r{i}"))));
+        assert!(!reply.contains("\"kind\":\"error\""), "{reply}");
+    }
+    let stats = service.metrics();
+    assert_eq!(stats.requests, requests.len() as u64);
+    assert_eq!(stats.requests_inline, 0);
+    server.shutdown();
+}
+
+/// Every request is answered either on the reactor or after one
+/// dispatch to a handler, whose wait is recorded as a `dispatch.wait`
+/// span carrying the request's trace id.
+#[test]
+fn inline_and_dispatched_requests_add_up_on_a_replayed_workload() {
+    use epi_audit::workload::hospital_scenario;
+    let w = hospital_scenario();
+    let service = Arc::new(AuditService::new(
+        w.schema.clone(),
+        ServiceConfig {
+            assumption: PriorAssumption::Product,
+            workers: 2,
+            trace_capacity: 1 << 16,
+            ..ServiceConfig::default()
+        },
+    ));
+    let server = Server::spawn_with(
+        Arc::clone(&service),
+        "127.0.0.1:0",
+        ServerOptions::default(),
+    )
+    .expect("bind");
+    let mut conn = connect(&server);
+    let mut sent = 0u64;
+    for round in 0..3 {
+        for (d, state) in w.log.entries_with_state() {
+            let user = format!("{round}-{}", d.user);
+            let requests = [
+                Request::Disclose {
+                    user: user.clone(),
+                    time: d.time,
+                    query: d.query.display(w.log.schema()).to_string(),
+                    state_mask: state.mask(),
+                    audit_query: "hiv_pos".to_owned(),
+                },
+                Request::Cumulative {
+                    user: user.clone(),
+                    audit_query: "hiv_pos".to_owned(),
+                },
+                Request::SessionInfo { user },
+            ];
+            for request in requests {
+                let envelope = RequestMeta {
+                    id: None,
+                    deadline_ms: None,
+                    trace: Some(format!("t{sent}")),
+                };
+                let reply = exchange(&mut conn, &frame(&request, &envelope));
+                assert!(!reply.contains("\"kind\":\"error\""), "{reply}");
+                sent += 1;
+            }
+        }
+    }
+    let stats = service.metrics();
+    assert_eq!(stats.requests, sent);
+    assert_eq!(stats.trace_dropped, 0, "the span count below is complete");
+    let dispatched: Vec<_> = service
+        .tracer()
+        .recent(None, usize::MAX)
+        .into_iter()
+        .filter(|s| s.label == "dispatch.wait")
+        .collect();
+    assert!(dispatched.iter().all(|s| s.trace.is_some()));
+    assert!(stats.requests_inline > 0 && !dispatched.is_empty());
+    assert_eq!(
+        stats.requests_inline + dispatched.len() as u64,
+        stats.requests
+    );
+    server.shutdown();
+}

@@ -20,7 +20,7 @@
 use crate::product::{decide_product_safety_deadline, ProductSolverOptions, ProductWitness};
 use crate::verdict::{SafeEvidence, UndecidedReason, Verdict};
 use epi_boolean::criteria::{cancellation, miklau_suciu, monotonicity, necessary};
-use epi_boolean::Cube;
+use epi_boolean::{Cube, MatchVector};
 use epi_core::{unrestricted, Deadline, WorldSet};
 use epi_num::Rational;
 use std::time::Instant;
@@ -276,7 +276,18 @@ fn decide_criteria_and_search(
             cancellation::cancellation,
         ),
     ];
+    // Honor the deadline before every stage: on wide supports even the
+    // criteria take seconds.
+    let stopped = |stage: Stage| {
+        deadline.check().err().map(|reason| PipelineDecision {
+            undecided: Some(reason.into()),
+            ..decided(Verdict::Unknown, stage)
+        })
+    };
     for (stage, name, criterion) in criteria {
+        if let Some(stop) = stopped(stage) {
+            return stop;
+        }
         let started = Instant::now();
         let safe = criterion(cube, a, b);
         observe(stage, elapsed_micros(started));
@@ -284,11 +295,15 @@ fn decide_criteria_and_search(
             return decided(Verdict::Safe(SafeEvidence::Criterion(name)), stage);
         }
     }
-    // Everything past this point can be expensive; honor the deadline
-    // before starting each tail stage.
-    if let Err(reason) = deadline.check() {
+    if let Some(stop) = stopped(Stage::BranchAndBound) {
+        return stop;
+    }
+    // The box stage enumerates all 3ⁿ match vectors, and the
+    // branch-and-bound refuses anything this wide anyway: fail closed
+    // with the budget-exhausted answer it would give.
+    if cube.dims() > MatchVector::MAX_ENUM_DIMS {
         return PipelineDecision {
-            undecided: Some(reason.into()),
+            undecided: Some(UndecidedReason::BudgetExhausted),
             ..decided(Verdict::Unknown, Stage::BranchAndBound)
         };
     }
@@ -405,13 +420,18 @@ mod tests {
                     hit_tail += 1;
                     assert_eq!(reason, UndecidedReason::DeadlineExceeded);
                     assert!(d.verdict.is_unknown(), "timed out must not certify");
+                    // Stopped before the first criterion ran.
+                    assert_eq!(d.stage, Stage::MiklauSuciu);
                 }
-                // Criteria stages still decide instantly — that's fine,
-                // those answers are complete proofs, not partial work.
-                None => assert!(!d.verdict.is_unknown()),
+                // Only the unconditional stage runs before the first
+                // deadline check.
+                None => assert_eq!(d.stage, Stage::Unconditional),
             }
         }
-        assert!(hit_tail > 0, "some pairs must reach the expensive tail");
+        assert!(
+            hit_tail > 0,
+            "some pairs must get past the unconditional stage"
+        );
     }
 
     #[test]
@@ -520,6 +540,64 @@ mod tests {
                 assert!(d.boxes_processed < max_boxes, "n = 11 stops on tensors");
             }
         }
+    }
+
+    #[test]
+    fn supports_past_the_box_enumeration_fail_closed_quickly() {
+        // The Remark 5.12 pair with A lifted onto every further record
+        // defeats every criterion; at these widths the box stage used to
+        // panic inside `MatchVector::all`.
+        for n in [MatchVector::MAX_ENUM_DIMS + 1, 20] {
+            let cube = Cube::new(n);
+            let rest = ((1u32 << n) - 1) & !0b111;
+            let a = cube.set_from_predicate(|w| {
+                [0b011, 0b100, 0b110, 0b111].contains(&(w & 0b111)) && w & rest == rest
+            });
+            let b =
+                cube.set_from_predicate(|w| [0b010, 0b101, 0b110, 0b111].contains(&(w & 0b111)));
+            let started = Instant::now();
+            let d = decide_product_pipeline(&cube, &a, &b, Default::default());
+            let took = started.elapsed();
+            assert!(d.verdict.is_unknown(), "n = {n}: {:?}", d.verdict);
+            assert_eq!(
+                d.undecided,
+                Some(UndecidedReason::BudgetExhausted),
+                "n = {n}"
+            );
+            assert_eq!(d.support_dims, n);
+            // The criteria still walk all 2ⁿ worlds; unoptimized, the
+            // monotonicity and cancellation stages alone take ~4 s at
+            // n = 20, so the time bound holds for optimized builds.
+            if !cfg!(debug_assertions) {
+                assert!(took.as_secs_f64() < 1.0, "n = {n} took {took:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn sos_decided_verdicts_are_byte_deterministic() {
+        use epi_json::Serialize;
+        // The Remark 5.12 pair defeats every criterion and is certified by
+        // the SOS fallback; its residual is part of the verdict bytes.
+        let cube = Cube::new(3);
+        let a = cube.set_from_masks([0b011, 0b100, 0b110, 0b111]);
+        let b = cube.set_from_masks([0b010, 0b101, 0b110, 0b111]);
+        let runs: Vec<String> = (0..3)
+            .map(|_| {
+                let d = decide_product_pipeline(&cube, &a, &b, Default::default());
+                assert!(
+                    matches!(
+                        d.verdict,
+                        Verdict::Safe(SafeEvidence::SosCertificate { .. })
+                    ),
+                    "{:?}",
+                    d.verdict
+                );
+                d.to_json().render()
+            })
+            .collect();
+        assert_eq!(runs[0], runs[1]);
+        assert_eq!(runs[1], runs[2]);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 use epi_linalg::{cholesky, Matrix};
 use epi_poly::{Monomial, Polynomial};
 use epi_sdp::{solve_feasibility, SdpOptions, SdpProblem, SdpStatus};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// A verified SOS certificate: `f ≈ zᵀQz` with `Q ⪰ 0`.
 #[derive(Clone, Debug)]
@@ -73,8 +73,9 @@ pub fn is_sos_with_basis(
             SosResult::NotFound
         };
     }
-    // Group the Gram entries by product monomial.
-    let mut by_product: HashMap<Monomial, Vec<(usize, usize)>> = HashMap::new();
+    // Group the Gram entries by product monomial, in a fixed order so the
+    // SDP's constraints are the same on every run.
+    let mut by_product: BTreeMap<Monomial, Vec<(usize, usize)>> = BTreeMap::new();
     for i in 0..n {
         for j in i..n {
             by_product

@@ -18,7 +18,7 @@ use crate::gram::SosCertificate;
 use epi_linalg::{cholesky, Matrix};
 use epi_poly::{Monomial, Polynomial};
 use epi_sdp::{solve_feasibility, SdpOptions, SdpProblem, SdpStatus};
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap};
 
 /// Largest dense constraint-matrix footprint [`WeightedSosProgram::solve`]
 /// will assemble. One `dim × dim` `f64` matrix per support monomial grows
@@ -166,9 +166,11 @@ impl WeightedSosProgram {
     }
 
     /// The union of monomial supports: target plus every possible product
-    /// contribution. One equality constraint per member.
-    fn support(&self) -> HashSet<Monomial> {
-        let mut support: HashSet<Monomial> = self.target.terms().map(|(m, _)| m.clone()).collect();
+    /// contribution. One equality constraint per member, in graded-lex
+    /// order, so the SDP — and with it the certificate's residual — is
+    /// the same on every run.
+    fn support(&self) -> BTreeSet<Monomial> {
+        let mut support: BTreeSet<Monomial> = self.target.terms().map(|(m, _)| m.clone()).collect();
         for blk in &self.sos_blocks {
             for (hm, _) in blk.multiplier.terms() {
                 for (i, mi) in blk.basis.iter().enumerate() {
@@ -188,7 +190,7 @@ impl WeightedSosProgram {
         support
     }
 
-    fn assemble_over(&self, support: &HashSet<Monomial>) -> SdpProblem {
+    fn assemble_over(&self, support: &BTreeSet<Monomial>) -> SdpProblem {
         let target_coeffs: HashMap<Monomial, f64> =
             self.target.terms().map(|(m, c)| (m.clone(), *c)).collect();
 

@@ -138,7 +138,6 @@ fn metrics_exposition_covers_counters_and_stage_histograms() {
         "epi_worker_respawns_total",
         "epi_solver_micros_total",
         "epi_solver_boxes_total",
-        "epi_pool_tasks_total",
         "epi_pool_steals_total",
         "epi_trace_spans_total",
         "epi_trace_dropped_total",
