@@ -2,7 +2,7 @@
 //! solver), E12 (audit composition), E14 (parallel scaling), E15
 //! (incremental subdivision / zero-allocation hot path)
 //! E16 (disclosure throughput vs. durability policy), E17
-//! (concurrent-connection throughput, reactor vs. thread-per-conn), E18
+//! (concurrent-connection throughput of the reactor front-end), E18
 //! (goodput under an overload storm with adaptive admission), E19
 //! (O(1) exhausted-budget denial vs. the full solver path) and E20
 //! (SIMD microkernel ns/element sweep plus batched single-core wave
@@ -510,23 +510,17 @@ fn e16() -> Json {
     Json::arr(rows)
 }
 
-/// E17 — concurrent-connection throughput and per-connection memory:
-/// the readiness reactor vs the thread-per-connection fallback at 64,
-/// 512 and 2048 open connections. Each run opens the fanout idle (the
-/// realistic shape of a large deployment: most connections quiet), then
-/// 8 driver clients push pipelined 16-deep disclose batches; the row
-/// reports aggregate decisions/sec, the heap bytes the fanout cost
-/// (cumulative-allocation delta over setup, divided by connections —
-/// an upper bound on per-connection state; thread stacks are mmapped
-/// and invisible to it, which flatters the threaded rows), and the
-/// open-connection gauge. The acceptance line for this PR: the reactor
-/// at 2048 connections sustains at least the thread-per-conn
-/// throughput at 64.
+/// E17 — concurrent-connection throughput and per-connection memory
+/// of the readiness reactor at 64, 512 and 2048 open connections. Each
+/// run opens the fanout idle (the realistic shape of a large
+/// deployment: most connections quiet), then 8 driver clients push
+/// pipelined 16-deep disclose batches; the row reports aggregate
+/// decisions/sec, the heap bytes the fanout cost (cumulative-allocation
+/// delta over setup, divided by connections — an upper bound on
+/// per-connection state), and the open-connection gauge.
 fn e17() -> Json {
     use epi_audit::{PriorAssumption, Schema};
-    use epi_service::{
-        AuditService, Client, Request, Response, Server, ServerMode, ServerOptions, ServiceConfig,
-    };
+    use epi_service::{AuditService, Client, Request, Response, Server, ServiceConfig};
     use std::net::{SocketAddr, TcpStream};
     use std::sync::Arc;
     use std::time::Duration;
@@ -565,95 +559,64 @@ fn e17() -> Json {
         }
     }
 
-    println!("\n## E17 — concurrent-connection throughput, reactor vs thread-per-conn\n");
+    println!("\n## E17 — concurrent-connection throughput of the reactor\n");
     let schema = Schema::from_names(&["hiv_pos", "transfusions", "flu", "diabetes"]).unwrap();
     let mut rows = Vec::new();
-    let mut legacy_64 = f64::NAN;
-    let mut reactor_2048 = f64::NAN;
     let mut run = 0u64;
-    for (mode_tag, mode) in [
-        ("reactor", ServerMode::Reactor),
-        ("threaded", ServerMode::Threaded),
-    ] {
-        for conns in [64usize, 512, 2048] {
-            run += 1;
-            let service = Arc::new(AuditService::new(
-                schema.clone(),
-                ServiceConfig {
-                    assumption: PriorAssumption::Product,
-                    workers: 2,
-                    ..ServiceConfig::default()
-                },
-            ));
-            let server = Server::spawn_with(
-                Arc::clone(&service),
-                "127.0.0.1:0",
-                ServerOptions {
-                    mode,
-                    ..ServerOptions::default()
-                },
-            )
-            .expect("bind");
-            let addr = server.addr();
+    for conns in [64usize, 512, 2048] {
+        run += 1;
+        let service = Arc::new(AuditService::new(
+            schema.clone(),
+            ServiceConfig {
+                assumption: PriorAssumption::Product,
+                workers: 2,
+                ..ServiceConfig::default()
+            },
+        ));
+        let server = Server::spawn(Arc::clone(&service), "127.0.0.1:0").expect("bind");
+        let addr = server.addr();
 
-            let bytes_before = epi_par::heap_bytes_allocated();
-            let idle: Vec<TcpStream> = (0..conns)
-                .map(|_| TcpStream::connect(addr).expect("fanout connect"))
-                .collect();
-            // Let the server finish adopting the fanout before sampling
-            // the allocation counter, so setup cost is fully included.
-            std::thread::sleep(Duration::from_millis(100 + conns as u64 / 8));
-            let bytes_per_conn =
-                (epi_par::heap_bytes_allocated() - bytes_before) as f64 / conns as f64;
-            let mut probe = Client::connect(addr).expect("probe connect");
-            let open = probe.stats().expect("stats").connections_open;
-            assert!(
-                open as usize > conns,
-                "{mode_tag}@{conns}: gauge reads {open} with the fanout open"
-            );
+        let bytes_before = epi_par::heap_bytes_allocated();
+        let idle: Vec<TcpStream> = (0..conns)
+            .map(|_| TcpStream::connect(addr).expect("fanout connect"))
+            .collect();
+        // Let the server finish adopting the fanout before sampling
+        // the allocation counter, so setup cost is fully included.
+        std::thread::sleep(Duration::from_millis(100 + conns as u64 / 8));
+        let bytes_per_conn = (epi_par::heap_bytes_allocated() - bytes_before) as f64 / conns as f64;
+        let mut probe = Client::connect(addr).expect("probe connect");
+        let open = probe.stats().expect("stats").connections_open;
+        assert!(
+            open as usize > conns,
+            "reactor@{conns}: gauge reads {open} with the fanout open"
+        );
 
-            drive(addr, run, 1); // warm caches, sessions, driver paths
-            run += 1;
-            let t = Instant::now();
-            drive(addr, run, BATCHES);
-            let wall = t.elapsed().as_secs_f64();
-            let decisions = DRIVERS * BATCHES * BATCH;
-            let dps = decisions as f64 / wall;
-            if mode == ServerMode::Threaded && conns == 64 {
-                legacy_64 = dps;
-            }
-            if mode == ServerMode::Reactor && conns == 2048 {
-                reactor_2048 = dps;
-            }
-            println!(
-                "{mode_tag}@{conns}: {decisions} decisions in {:.1}ms ({dps:.0}/sec), \
-                 {bytes_per_conn:.0} heap bytes/conn, gauge={open}",
-                wall * 1e3
-            );
-            rows.push(Json::obj([
-                ("mode", Json::from(mode_tag)),
-                ("connections", Json::from(conns)),
-                ("decisions", Json::from(decisions)),
-                ("wall_ms", Json::from(wall * 1e3)),
-                ("decisions_per_sec", Json::from(dps)),
-                ("heap_bytes_per_conn", Json::from(bytes_per_conn)),
-                ("connections_open_gauge", Json::from(open)),
-            ]));
-            drop(idle);
-            drop(probe);
-            server.shutdown();
-        }
+        drive(addr, run, 1); // warm caches, sessions, driver paths
+        run += 1;
+        let t = Instant::now();
+        drive(addr, run, BATCHES);
+        let wall = t.elapsed().as_secs_f64();
+        let decisions = DRIVERS * BATCHES * BATCH;
+        let dps = decisions as f64 / wall;
+        println!(
+            "reactor@{conns}: {decisions} decisions in {:.1}ms ({dps:.0}/sec), \
+             {bytes_per_conn:.0} heap bytes/conn, gauge={open}",
+            wall * 1e3
+        );
+        rows.push(Json::obj([
+            ("mode", Json::from("reactor")),
+            ("connections", Json::from(conns)),
+            ("decisions", Json::from(decisions)),
+            ("wall_ms", Json::from(wall * 1e3)),
+            ("decisions_per_sec", Json::from(dps)),
+            ("heap_bytes_per_conn", Json::from(bytes_per_conn)),
+            ("connections_open_gauge", Json::from(open)),
+        ]));
+        drop(idle);
+        drop(probe);
+        server.shutdown();
     }
-    let ratio = reactor_2048 / legacy_64;
-    println!(
-        "\nreactor@2048 vs threaded@64: {ratio:.2}x \
-         (acceptance: reactor under 32x the connections must not lose throughput)"
-    );
-    Json::obj([
-        ("rows", Json::arr(rows)),
-        ("reactor_2048_vs_threaded_64", Json::from(ratio)),
-        ("meets_acceptance", Json::from(ratio >= 1.0)),
-    ])
+    Json::obj([("rows", Json::arr(rows))])
 }
 
 fn e18() -> Json {
@@ -1233,8 +1196,8 @@ fn main() {
                  fsynced on every acknowledgement; fsync cost is storage-dependent, \
                  so read the slowdown ratios, not the absolute numbers. E17 measures \
                  the TCP front-end: aggregate pipelined-disclose throughput and heap \
-                 bytes per connection for the readiness reactor vs the \
-                 thread-per-connection fallback at a 64/512/2048-connection fanout. \
+                 bytes per connection for the readiness reactor at a \
+                 64/512/2048-connection fanout. \
                  E18 storms a daemon whose per-decision cost is pinned at 3ms with \
                  ~4x its capacity and reports goodput (acknowledged / offered) under \
                  AIMD admission control plus per-reason rejects; every acknowledged \

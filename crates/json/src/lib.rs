@@ -1,6 +1,6 @@
 //! Dependency-free JSON for the epistemic-privacy workspace.
 //!
-//! The service layer ([`epi-service`]) speaks newline-delimited JSON over
+//! The service layer (`epi-service`) speaks newline-delimited JSON over
 //! TCP, and audit tooling wants findings/verdicts/reports in a stable
 //! machine-readable form. The offline build cannot use `serde`, so this
 //! crate provides the minimal equivalent: a [`Json`] value model, a strict

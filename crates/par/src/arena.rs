@@ -100,7 +100,7 @@ impl<T> BufferPool<T> {
 
     /// Park a no-longer-needed buffer for reuse. The buffer is cleared;
     /// its capacity is retained unless the pool is already holding
-    /// [`MAX_RESIDENT_BYTES`], in which case it is dropped.
+    /// `MAX_RESIDENT_BYTES`, in which case it is dropped.
     pub fn checkin(&self, mut buf: Vec<T>) {
         buf.clear();
         self.checkin_dirty(buf);

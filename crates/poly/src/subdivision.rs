@@ -22,7 +22,7 @@
 //! [`widest_derivative_axis`] — run through a runtime-selected
 //! instruction set ([`active_isa`]): portable scalar always, plus SSE2
 //! and AVX2 `std::arch` microkernels under the `simd` feature on
-//! x86_64. The scalar kernels in [`reference`] are the oracle; every
+//! x86_64. The scalar kernels in [`reference`](mod@reference) are the oracle; every
 //! vector path is **bit-identical** to them on finite tensors (asserted
 //! by proptest, not approximately), which is what keeps the solver's
 //! deterministic wave mode byte-stable regardless of lane width. The

@@ -158,7 +158,7 @@ impl AdmissionController {
     }
 
     /// Feeds one observed queue wait into the EWMA and the AIMD loop.
-    /// Returns the updated limit so the pool can export it as a gauge.
+    /// Returns the updated limit.
     pub fn observe_wait(&self, wait_micros: u64) -> usize {
         // EWMA with α = 1/8 in ×16 fixed point: new = old + (x - old)/8.
         let _ = self

@@ -7,9 +7,22 @@
 //! Per-stage latency is a power-of-two histogram in microseconds, one
 //! histogram per pipeline [`Stage`] plus one slot for decisions made
 //! outside the pipeline (the log-supermodular refutation search).
+//!
+//! Every scalar metric is declared once, as one row of the
+//! `metrics_table!` invocation below: its JSON key (also the field
+//! name), Prometheus name, kind, help text, whether a legacy snapshot
+//! may omit it, and where its value comes from — a registry atomic, or
+//! a value its owner keeps and a snapshot folds in (`Folded`). The
+//! table generates the [`Metrics`] atomics, [`Metrics::snapshot`], the
+//! [`Snapshot`] struct, its JSON form and the scalar half of
+//! [`Snapshot::render_prometheus`]. Only the two histograms (risk and
+//! per-stage latency) are written out by hand.
 
+use crate::admission::{AdmissionController, DegradationMode};
 use epi_json::{field, opt_field, Deserialize, Json, JsonError, Serialize};
 use epi_solver::Stage;
+use epi_trace::Recorder;
+use epi_wal::{RecoveryReport, WalStats};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Number of latency-histogram buckets. Bucket `k` counts decisions whose
@@ -55,102 +68,334 @@ struct StageStats {
     buckets: [AtomicU64; LATENCY_BUCKETS],
 }
 
-/// The daemon's counters. One instance is shared (behind an `Arc`) by the
-/// session store, cache, worker pool and server.
-#[derive(Default)]
-pub struct Metrics {
-    /// Protocol requests handled (all operations).
-    pub requests: AtomicU64,
-    /// Requests the reactor answered itself, without a handler thread
-    /// (a subset of `requests`).
-    pub requests_inline: AtomicU64,
-    /// Requests that needed a safety decision (disclose/cumulative past
-    /// the negative-result gate).
-    pub decide_requests: AtomicU64,
-    /// Disclosures answered `Safe` because the audited property was false
-    /// at disclosure time — no solver work at all.
-    pub negative_gated: AtomicU64,
-    /// Verdict-cache hits.
-    pub cache_hits: AtomicU64,
-    /// Verdict-cache misses.
-    pub cache_misses: AtomicU64,
-    /// Verdict-cache evictions.
-    pub cache_evictions: AtomicU64,
-    /// Decisions that piggybacked on an identical in-flight decision
-    /// instead of enqueueing their own.
-    pub coalesced: AtomicU64,
-    /// Decisions actually computed by a worker.
-    pub computed: AtomicU64,
-    /// High-water mark of the worker queue depth.
-    pub queue_high_water: AtomicU64,
-    /// Branch-and-bound boxes committed by computed decisions.
-    pub solver_boxes: AtomicU64,
-    /// Microseconds spent in decisions that ran the branch-and-bound
-    /// (criterion-only decisions are excluded so boxes/sec stays honest).
-    pub solver_micros: AtomicU64,
-    /// Worker iterations that caught a solver panic and kept serving —
-    /// each one is a logical worker respawn.
-    pub worker_respawns: AtomicU64,
-    /// Requests rejected with `overloaded` because the decision queue was
-    /// full in shed mode.
-    pub shed_requests: AtomicU64,
-    /// Decisions that came back undecided because their deadline expired
-    /// or the daemon was draining (always reported as *not* safe).
-    pub deadline_exceeded: AtomicU64,
-    /// Currently open TCP connections (gauge: incremented on accept,
-    /// decremented on close).
-    pub connections_open: AtomicU64,
-    /// TCP connections accepted since startup.
-    pub connections_accepted: AtomicU64,
-    /// Connections evicted for inactivity — either fully idle past the
-    /// idle timeout or dribbling a started frame past the frame deadline.
-    pub connections_evicted_idle: AtomicU64,
-    /// Connections evicted for overflow: accepted past the connection
-    /// cap, or a write queue past its hard overflow limit.
-    pub connections_evicted_overflow: AtomicU64,
-    /// Times a connection's reads were paused for backpressure (full
-    /// write queue, full dispatch queue, or the in-flight cap).
-    pub backpressure_stalls: AtomicU64,
-    /// High-water mark of any single connection's read buffer, bytes.
-    pub read_buffer_high_water: AtomicU64,
-    /// High-water mark of any single connection's write queue, bytes.
-    pub write_buffer_high_water: AtomicU64,
-    /// Requests rejected at admission because the estimated queue wait
-    /// already exceeded their deadline (doomed work never enqueued).
-    pub admission_rejects_deadline: AtomicU64,
-    /// Requests rejected at admission by the adaptive concurrency limit.
-    pub admission_rejects_limit: AtomicU64,
-    /// Requests rejected by the per-user token-bucket fairness gate.
-    pub admission_rejects_fairness: AtomicU64,
-    /// Requests refused because the degradation ladder was in
-    /// `cache_only` (uncached decision) or `frozen` (disclosure while
-    /// the log is quarantined/stalled) mode.
-    pub admission_rejects_degraded: AtomicU64,
-    /// Current adaptive admission limit (gauge, written by the
-    /// controller on every adjustment).
-    pub admission_limit: AtomicU64,
-    /// EWMA of decision-queue wait in microseconds (gauge).
-    pub admission_wait_ewma_micros: AtomicU64,
-    /// Degradation-ladder mode (gauge: 0 normal, 1 shedding,
-    /// 2 cache_only, 3 frozen).
-    pub degradation_mode: AtomicU64,
-    /// Wall microseconds the last graceful drain took (gauge, zero until
-    /// a drain runs).
-    pub drain_micros: AtomicU64,
-    /// Disclosures refused up front because the user's exposure budget
-    /// crossed the deny threshold (O(1) fast path; never enqueued).
-    pub budget_exhausted_denials: AtomicU64,
-    /// Disclosures that crossed the budget warn threshold (still
-    /// served).
-    pub budget_warnings: AtomicU64,
-    /// Largest per-user budget spend seen, in micro-units (gauge).
-    pub budget_spent_high_water_micros: AtomicU64,
-    /// Per-decision risk histogram: decisions scored, total risk in
-    /// micro-units, and tenth-of-risk buckets.
-    risk_count: AtomicU64,
-    risk_sum_micros: AtomicU64,
-    risk_buckets: [AtomicU64; RISK_BUCKETS],
-    stages: [StageStats; STAGE_SLOTS],
+/// Prometheus metric type of a table row.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Kind {
+    Counter,
+    Gauge,
+}
+
+impl Kind {
+    fn as_str(self) -> &'static str {
+        match self {
+            Kind::Counter => "counter",
+            Kind::Gauge => "gauge",
+        }
+    }
+}
+
+/// How [`Snapshot::from_json`] treats a snapshot that lacks a row's key.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Legacy {
+    /// Every daemon generation sends it; a snapshot without it is
+    /// rejected.
+    Required,
+    /// Older (or minimally configured) daemons omit it; absent reads as
+    /// zero.
+    Zero,
+}
+
+/// One scalar row of the metrics table.
+struct Row {
+    /// JSON key, and the field name on [`Metrics`] and [`Snapshot`].
+    key: &'static str,
+    prom: &'static str,
+    kind: Kind,
+    help: &'static str,
+    legacy: Legacy,
+}
+
+/// The values a snapshot folds in from outside the registry. Each is
+/// kept by its owner — the solver pool, the trace ring, the disclosure
+/// log, the startup recovery, the admission controller and the
+/// degradation ladder — so it has no registry atomic. A bare registry
+/// knows only the solver pool's; the service supplies the rest.
+pub(crate) struct Folded<'a> {
+    pub(crate) par: epi_par::StatsSnapshot,
+    pub(crate) pool_threads: u64,
+    pub(crate) tracer: Option<&'a Recorder>,
+    pub(crate) wal: Option<WalStats>,
+    pub(crate) recovery: Option<&'a RecoveryReport>,
+    pub(crate) admission: Option<&'a AdmissionController>,
+    pub(crate) mode: Option<DegradationMode>,
+}
+
+impl Folded<'_> {
+    /// The process-wide solver pool's statistics (read once) and
+    /// nothing else.
+    pub(crate) fn solver_pool() -> Folded<'static> {
+        Folded {
+            par: epi_par::stats(),
+            pool_threads: epi_par::Pool::global().threads() as u64,
+            tracer: None,
+            wal: None,
+            recovery: None,
+            admission: None,
+            mode: None,
+        }
+    }
+}
+
+fn fold<'a>(folded: &Folded<'a>, read: impl Fn(&Folded<'a>) -> u64) -> u64 {
+    read(folded)
+}
+
+/// Reads a JSON member that legacy snapshots may omit, as zero when
+/// absent.
+fn zero_default(v: &Json, key: &str) -> Result<u64, JsonError> {
+    Ok(opt_field(v, key)?.unwrap_or(0))
+}
+
+/// Expands the table. A row reads
+/// `key: Kind "prometheus_name" Legacy source "help";` where `source`
+/// is `registry` (an atomic on [`Metrics`]) or a parenthesised closure
+/// over [`Folded`]. `@risk_histogram;` marks where the risk histogram's
+/// members sit in the JSON object.
+macro_rules! metrics_table {
+    (
+        $( $(#[doc = $hdoc:literal])* $hkey:ident: $hkind:ident $hprom:literal $hlegacy:ident $hsrc:tt $hhelp:literal; )*
+        @risk_histogram;
+        $( $(#[doc = $tdoc:literal])* $tkey:ident: $tkind:ident $tprom:literal $tlegacy:ident $tsrc:tt $thelp:literal; )*
+    ) => {
+        metrics_table!(@emit [$($hkey)*]
+            $( $(#[doc = $hdoc])* $hkey: $hkind $hprom $hlegacy $hsrc $hhelp; )*
+            $( $(#[doc = $tdoc])* $tkey: $tkind $tprom $tlegacy $tsrc $thelp; )*);
+    };
+    (@emit [$($head:ident)*]
+        $( $(#[doc = $doc:literal])* $key:ident: $kind:ident $prom:literal $legacy:ident $src:tt $help:literal; )*
+    ) => {
+        /// The table's rows, in JSON order.
+        const ROWS: [Row; [$(stringify!($key)),*].len()] = [$(Row {
+            key: stringify!($key),
+            prom: $prom,
+            kind: Kind::$kind,
+            help: $help,
+            legacy: Legacy::$legacy,
+        }),*];
+
+        /// Index in [`ROWS`] before which the risk histogram's JSON
+        /// members go.
+        const RISK_AT: usize = [$(stringify!($head)),*].len();
+
+        metrics_table!(@registry [] $( $(#[doc = $doc])* $key $help $src; )*);
+
+        /// A point-in-time copy of [`Metrics`] — what the `stats`
+        /// protocol operation returns.
+        #[derive(Clone, Debug, PartialEq, Eq)]
+        pub struct Snapshot {
+            $( #[doc = $help] $(#[doc = $doc])* pub $key: u64, )*
+            /// Decisions scored into the risk histogram.
+            pub risk_count: u64,
+            /// Total risk across scored decisions, micro-units.
+            pub risk_sum_micros: u64,
+            /// Tenth-of-risk histogram buckets (`[k/10, (k+1)/10)`, last
+            /// bucket owns 1.0).
+            pub risk_buckets: Vec<u64>,
+            /// Per-stage decision counts and latency histograms.
+            pub stages: Vec<StageSnapshot>,
+        }
+
+        impl Metrics {
+            /// The table's values, in row order: each registry row's
+            /// atomic, each folded row's value from `folded`.
+            fn read_rows(&self, folded: &Folded<'_>) -> [u64; ROWS.len()] {
+                [$( metrics_table!(@read self, folded, $key, $src) ),*]
+            }
+        }
+
+        impl Snapshot {
+            /// The table's values, in row order.
+            fn values(&self) -> [u64; ROWS.len()] {
+                [$(self.$key),*]
+            }
+
+            fn from_values(
+                values: [u64; ROWS.len()],
+                risk_count: u64,
+                risk_sum_micros: u64,
+                risk_buckets: Vec<u64>,
+                stages: Vec<StageSnapshot>,
+            ) -> Snapshot {
+                let [$($key),*] = values;
+                Snapshot {
+                    $($key,)*
+                    risk_count,
+                    risk_sum_micros,
+                    risk_buckets,
+                    stages,
+                }
+            }
+        }
+    };
+    (@registry [$($field:tt)*]) => {
+        /// The daemon's counters. One instance is shared (behind an
+        /// `Arc`) by the session store, cache, worker pool and server.
+        #[derive(Default)]
+        pub struct Metrics {
+            $($field)*
+            /// Per-decision risk histogram: decisions scored, total risk
+            /// in micro-units, and tenth-of-risk buckets.
+            risk_count: AtomicU64,
+            risk_sum_micros: AtomicU64,
+            risk_buckets: [AtomicU64; RISK_BUCKETS],
+            stages: [StageStats; STAGE_SLOTS],
+        }
+    };
+    (@registry [$($field:tt)*] $(#[doc = $doc:literal])* $key:ident $help:literal registry; $($rest:tt)*) => {
+        metrics_table!(@registry [$($field)* #[doc = $help] $(#[doc = $doc])* pub $key: AtomicU64,] $($rest)*);
+    };
+    (@registry [$($field:tt)*] $(#[doc = $doc:literal])* $key:ident $help:literal $src:tt; $($rest:tt)*) => {
+        metrics_table!(@registry [$($field)*] $($rest)*);
+    };
+    (@read $metrics:expr, $folded:expr, $key:ident, registry) => {
+        $metrics.$key.load(Ordering::Relaxed)
+    };
+    (@read $metrics:expr, $folded:expr, $key:ident, $src:tt) => {
+        fold($folded, $src)
+    };
+}
+
+metrics_table! {
+    requests: Counter "epi_requests_total" Required registry
+        "Protocol requests handled.";
+    /// A subset of `requests`.
+    requests_inline: Counter "epi_requests_inline_total" Zero registry
+        "Requests the reactor answered without a handler thread.";
+    /// Disclose/cumulative requests past the negative-result gate.
+    decide_requests: Counter "epi_decide_requests_total" Required registry
+        "Requests that needed a safety decision.";
+    /// Answered `Safe` because the audited property was false at
+    /// disclosure time — no solver work at all.
+    negative_gated: Counter "epi_negative_gated_total" Zero registry
+        "Disclosures short-circuited by the negative-result rule.";
+    cache_hits: Counter "epi_cache_hits_total" Required registry
+        "Verdict-cache hits.";
+    cache_misses: Counter "epi_cache_misses_total" Required registry
+        "Verdict-cache misses.";
+    cache_evictions: Counter "epi_cache_evictions_total" Required registry
+        "Verdict-cache evictions.";
+    coalesced: Counter "epi_coalesced_total" Zero registry
+        "Decisions coalesced onto an in-flight computation.";
+    computed: Counter "epi_computed_total" Required registry
+        "Decisions computed by workers.";
+    queue_high_water: Gauge "epi_queue_high_water" Zero registry
+        "Worker-queue depth high-water mark.";
+    solver_boxes: Counter "epi_solver_boxes_total" Zero registry
+        "Branch-and-bound boxes committed across computed decisions.";
+    /// Criterion-only decisions are excluded, so boxes/sec stays honest.
+    solver_micros: Counter "epi_solver_micros_total" Zero registry
+        "Wall micros of decisions that ran the branch-and-bound.";
+    /// Each one is a logical worker respawn.
+    worker_respawns: Counter "epi_worker_respawns_total" Zero registry
+        "Worker iterations that recovered from a solver panic.";
+    /// The decision queue was full in shed mode.
+    shed_requests: Counter "epi_shed_requests_total" Zero registry
+        "Requests shed with `overloaded` under queue pressure.";
+    /// Always reported as *not* safe.
+    deadline_exceeded: Counter "epi_deadline_exceeded_total" Zero registry
+        "Decisions undecided because of deadline expiry or shutdown.";
+    /// Incremented on accept, decremented on close.
+    connections_open: Gauge "epi_connections_open" Zero registry
+        "Currently open TCP connections.";
+    connections_accepted: Counter "epi_connections_accepted_total" Zero registry
+        "TCP connections accepted since startup.";
+    /// Fully idle past the idle timeout, or dribbling a started frame
+    /// past the frame deadline.
+    connections_evicted_idle: Counter "epi_connections_evicted_idle_total" Zero registry
+        "Connections evicted for idle/frame-deadline inactivity.";
+    connections_evicted_overflow: Counter "epi_connections_evicted_overflow_total" Zero registry
+        "Connections evicted for overflow (connection cap or write-queue hard limit).";
+    /// A full write queue, a full dispatch queue, or the in-flight cap.
+    backpressure_stalls: Counter "epi_backpressure_stalls_total" Zero registry
+        "Read pauses triggered by per-connection backpressure.";
+    read_buffer_high_water: Gauge "epi_read_buffer_high_water" Zero registry
+        "High-water mark of any single connection's read buffer, bytes.";
+    write_buffer_high_water: Gauge "epi_write_buffer_high_water" Zero registry
+        "High-water mark of any single connection's write queue, bytes.";
+    /// Doomed work is never enqueued.
+    admission_rejects_deadline: Counter "epi_admission_rejects_deadline_total" Zero registry
+        "Requests rejected at admission: queue wait exceeded deadline.";
+    admission_rejects_limit: Counter "epi_admission_rejects_limit_total" Zero registry
+        "Requests rejected at admission by the adaptive concurrency limit.";
+    admission_rejects_fairness: Counter "epi_admission_rejects_fairness_total" Zero registry
+        "Requests rejected by the per-user fairness token bucket.";
+    /// An uncached decision in `cache_only`, or a disclosure in `frozen`
+    /// (the log is quarantined or stalled).
+    admission_rejects_degraded: Counter "epi_admission_rejects_degraded_total" Zero registry
+        "Requests refused in cache_only/frozen degradation modes.";
+    admission_limit: Gauge "epi_admission_limit" Zero
+        (|f| f.admission.map_or(0, |a| a.limit() as u64))
+        "Current adaptive admission limit (concurrently admitted decisions).";
+    admission_wait_ewma_micros: Gauge "epi_admission_wait_ewma_micros" Zero
+        (|f| f.admission.map_or(0, AdmissionController::estimated_wait_micros))
+        "EWMA of decision-queue wait, microseconds.";
+    degradation_mode: Gauge "epi_degradation_mode" Zero
+        (|f| f.mode.map_or(0, DegradationMode::as_gauge))
+        "Degradation-ladder mode (0 normal, 1 shedding, 2 cache_only, 3 frozen).";
+    /// Zero until a drain runs.
+    drain_micros: Gauge "epi_drain_micros" Zero registry
+        "Wall microseconds the last graceful drain took.";
+    /// O(1) fast path; never enqueued to the solver.
+    budget_exhausted_denials: Counter "epi_budget_exhausted_denials_total" Zero registry
+        "Disclosures refused by the exposure-budget deny threshold.";
+    /// Still served.
+    budget_warnings: Counter "epi_budget_warnings_total" Zero registry
+        "Disclosures that crossed the exposure-budget warn threshold.";
+    budget_spent_high_water_micros: Gauge "epi_budget_spent_high_water_micros" Zero registry
+        "Largest per-user exposure-budget spend seen, micro-units.";
+    @risk_histogram;
+    pool_workers: Gauge "epi_pool_workers" Zero (|f| f.pool_threads)
+        "Worker threads in the process-wide solver pool.";
+    /// Process lifetime, like every `pool_*` counter.
+    pool_steals: Counter "epi_pool_steals_total" Zero (|f| f.par.steals)
+        "Work-stealing events in the solver pool.";
+    pool_arena_checkouts: Counter "epi_pool_arena_checkouts_total" Zero
+        (|f| f.par.arena_checkouts)
+        "Solver arena buffer checkouts.";
+    /// Flat while `pool_arena_checkouts` climbs means the
+    /// zero-allocation hot path is holding.
+    pool_arena_misses: Counter "epi_pool_arena_misses_total" Zero (|f| f.par.arena_misses)
+        "Arena checkouts that had to allocate.";
+    pool_arena_high_water_bytes: Gauge "epi_pool_arena_high_water_bytes" Zero
+        (|f| f.par.arena_high_water_bytes)
+        "High-water mark of bytes parked in the solver buffer pools.";
+    pool_waves_sequential: Counter "epi_pool_waves_sequential_total" Zero
+        (|f| f.par.waves_sequential)
+        "Frontier waves kept sequential by the chunk policy.";
+    pool_waves_parallel: Counter "epi_pool_waves_parallel_total" Zero
+        (|f| f.par.waves_parallel)
+        "Frontier waves fanned out by the chunk policy.";
+    pool_batch_sweeps: Counter "epi_pool_batch_sweeps_total" Zero (|f| f.par.batch_sweeps)
+        "Batched structure-of-arrays kernel sweeps run by the wave engine.";
+    /// Midpoints, split axes and survivor indices staged at once.
+    pool_soa_high_water_bytes: Gauge "epi_pool_soa_high_water_bytes" Zero
+        (|f| f.par.soa_staged_high_water_bytes)
+        "High-water mark of bytes staged in the wave engine's SoA buffers.";
+    trace_spans: Counter "epi_trace_spans_total" Zero
+        (|f| f.tracer.map_or(0, Recorder::spans_recorded))
+        "Spans recorded into the trace ring.";
+    trace_dropped: Counter "epi_trace_dropped_total" Zero
+        (|f| f.tracer.map_or(0, Recorder::spans_dropped))
+        "Trace-ring spans overwritten by newer ones.";
+    slow_decisions: Counter "epi_slow_decisions_total" Zero
+        (|f| f.tracer.map_or(0, Recorder::slow_total))
+        "Spans that crossed the slow-decision threshold.";
+    /// Zero when the daemon runs without a data directory, like every
+    /// disclosure-log row.
+    wal_appends: Counter "epi_wal_appends_total" Zero (|f| f.wal.map_or(0, |w| w.appends))
+        "Records appended to the durable disclosure log.";
+    wal_bytes: Counter "epi_wal_bytes_total" Zero (|f| f.wal.map_or(0, |w| w.bytes))
+        "Bytes written to the disclosure log, framing included.";
+    /// Under group commit this is typically far below `wal_appends`.
+    wal_fsyncs: Counter "epi_wal_fsyncs_total" Zero (|f| f.wal.map_or(0, |w| w.fsyncs))
+        "fdatasync calls issued by the disclosure log.";
+    snapshot_count: Counter "epi_snapshots_total" Zero (|f| f.wal.map_or(0, |w| w.snapshots))
+        "Compacted session snapshots written.";
+    recovery_replayed_records: Gauge "epi_recovery_replayed_records" Zero
+        (|f| f.recovery.map_or(0, |r| r.replayed_records))
+        "Log records replayed during the last startup recovery.";
+    recovery_millis: Gauge "epi_recovery_millis" Zero (|f| f.recovery.map_or(0, |r| r.millis))
+        "Wall milliseconds the last startup recovery took.";
 }
 
 impl Metrics {
@@ -217,71 +462,23 @@ impl Metrics {
         s.buckets[bucket].fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Reads every counter into a plain-data snapshot.
+    /// Reads every counter into a plain-data snapshot. The values the
+    /// service folds in (trace ring, disclosure log, recovery,
+    /// admission, ladder) read as zero; `AuditService::metrics` has them.
     pub fn snapshot(&self) -> Snapshot {
+        self.snapshot_with(&Folded::solver_pool())
+    }
+
+    /// Reads every counter into a plain-data snapshot, folding in the
+    /// values that `folded` holds.
+    pub(crate) fn snapshot_with(&self, folded: &Folded<'_>) -> Snapshot {
         let read = |c: &AtomicU64| c.load(Ordering::Relaxed);
-        Snapshot {
-            requests: read(&self.requests),
-            requests_inline: read(&self.requests_inline),
-            decide_requests: read(&self.decide_requests),
-            negative_gated: read(&self.negative_gated),
-            cache_hits: read(&self.cache_hits),
-            cache_misses: read(&self.cache_misses),
-            cache_evictions: read(&self.cache_evictions),
-            coalesced: read(&self.coalesced),
-            computed: read(&self.computed),
-            queue_high_water: read(&self.queue_high_water),
-            solver_boxes: read(&self.solver_boxes),
-            solver_micros: read(&self.solver_micros),
-            worker_respawns: read(&self.worker_respawns),
-            shed_requests: read(&self.shed_requests),
-            deadline_exceeded: read(&self.deadline_exceeded),
-            connections_open: read(&self.connections_open),
-            connections_accepted: read(&self.connections_accepted),
-            connections_evicted_idle: read(&self.connections_evicted_idle),
-            connections_evicted_overflow: read(&self.connections_evicted_overflow),
-            backpressure_stalls: read(&self.backpressure_stalls),
-            read_buffer_high_water: read(&self.read_buffer_high_water),
-            write_buffer_high_water: read(&self.write_buffer_high_water),
-            admission_rejects_deadline: read(&self.admission_rejects_deadline),
-            admission_rejects_limit: read(&self.admission_rejects_limit),
-            admission_rejects_fairness: read(&self.admission_rejects_fairness),
-            admission_rejects_degraded: read(&self.admission_rejects_degraded),
-            admission_limit: read(&self.admission_limit),
-            admission_wait_ewma_micros: read(&self.admission_wait_ewma_micros),
-            degradation_mode: read(&self.degradation_mode),
-            drain_micros: read(&self.drain_micros),
-            budget_exhausted_denials: read(&self.budget_exhausted_denials),
-            budget_warnings: read(&self.budget_warnings),
-            budget_spent_high_water_micros: read(&self.budget_spent_high_water_micros),
-            risk_count: read(&self.risk_count),
-            risk_sum_micros: read(&self.risk_sum_micros),
-            risk_buckets: self.risk_buckets.iter().map(read).collect(),
-            pool_workers: epi_par::Pool::global().threads() as u64,
-            pool_steals: epi_par::stats().steals,
-            pool_arena_checkouts: epi_par::stats().arena_checkouts,
-            pool_arena_misses: epi_par::stats().arena_misses,
-            pool_arena_high_water_bytes: epi_par::stats().arena_high_water_bytes,
-            pool_waves_sequential: epi_par::stats().waves_sequential,
-            pool_waves_parallel: epi_par::stats().waves_parallel,
-            pool_batch_sweeps: epi_par::stats().batch_sweeps,
-            pool_soa_high_water_bytes: epi_par::stats().soa_staged_high_water_bytes,
-            // The trace ring lives beside the registry (in the service),
-            // which overwrites these after snapshotting; a bare registry
-            // reports zeros.
-            trace_spans: 0,
-            trace_dropped: 0,
-            slow_decisions: 0,
-            // Likewise for the disclosure log: the WAL keeps its own
-            // atomics and the service folds them in after snapshotting.
-            wal_appends: 0,
-            wal_bytes: 0,
-            wal_fsyncs: 0,
-            snapshot_count: 0,
-            recovery_replayed_records: 0,
-            recovery_millis: 0,
-            stages: self
-                .stages
+        Snapshot::from_values(
+            self.read_rows(folded),
+            read(&self.risk_count),
+            read(&self.risk_sum_micros),
+            self.risk_buckets.iter().map(read).collect(),
+            self.stages
                 .iter()
                 .zip(STAGE_LABELS)
                 .map(|(s, label)| StageSnapshot {
@@ -291,135 +488,8 @@ impl Metrics {
                     buckets: s.buckets.iter().map(read).collect(),
                 })
                 .collect(),
-        }
+        )
     }
-}
-
-/// A point-in-time copy of [`Metrics`] — what the `stats` protocol
-/// operation returns.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Snapshot {
-    /// Protocol requests handled.
-    pub requests: u64,
-    /// Requests the reactor answered without a handler thread.
-    pub requests_inline: u64,
-    /// Requests that needed a safety decision.
-    pub decide_requests: u64,
-    /// Disclosures short-circuited by the negative-result rule.
-    pub negative_gated: u64,
-    /// Verdict-cache hits.
-    pub cache_hits: u64,
-    /// Verdict-cache misses.
-    pub cache_misses: u64,
-    /// Verdict-cache evictions.
-    pub cache_evictions: u64,
-    /// Decisions coalesced onto an in-flight computation.
-    pub coalesced: u64,
-    /// Decisions computed by workers.
-    pub computed: u64,
-    /// Worker-queue depth high-water mark.
-    pub queue_high_water: u64,
-    /// Branch-and-bound boxes committed across computed decisions.
-    pub solver_boxes: u64,
-    /// Wall micros of the decisions that ran the branch-and-bound.
-    pub solver_micros: u64,
-    /// Worker iterations that recovered from a solver panic.
-    pub worker_respawns: u64,
-    /// Requests shed with `overloaded` under queue pressure.
-    pub shed_requests: u64,
-    /// Decisions undecided because of deadline expiry or shutdown.
-    pub deadline_exceeded: u64,
-    /// Currently open TCP connections.
-    pub connections_open: u64,
-    /// TCP connections accepted since startup.
-    pub connections_accepted: u64,
-    /// Connections evicted for idle/frame-deadline inactivity.
-    pub connections_evicted_idle: u64,
-    /// Connections evicted for overflow (connection cap or write-queue
-    /// hard limit).
-    pub connections_evicted_overflow: u64,
-    /// Read pauses triggered by per-connection backpressure.
-    pub backpressure_stalls: u64,
-    /// High-water mark of any single connection's read buffer, bytes.
-    pub read_buffer_high_water: u64,
-    /// High-water mark of any single connection's write queue, bytes.
-    pub write_buffer_high_water: u64,
-    /// Requests rejected at admission: estimated queue wait exceeded the
-    /// request's deadline.
-    pub admission_rejects_deadline: u64,
-    /// Requests rejected at admission by the adaptive concurrency limit.
-    pub admission_rejects_limit: u64,
-    /// Requests rejected by the per-user fairness token bucket.
-    pub admission_rejects_fairness: u64,
-    /// Requests refused in `cache_only`/`frozen` degradation modes.
-    pub admission_rejects_degraded: u64,
-    /// Current adaptive admission limit (gauge).
-    pub admission_limit: u64,
-    /// EWMA of decision-queue wait, microseconds (gauge).
-    pub admission_wait_ewma_micros: u64,
-    /// Degradation-ladder mode (gauge: 0 normal, 1 shedding,
-    /// 2 cache_only, 3 frozen).
-    pub degradation_mode: u64,
-    /// Wall microseconds the last graceful drain took (gauge).
-    pub drain_micros: u64,
-    /// Disclosures refused up front by the exposure-budget deny
-    /// threshold (never enqueued to the solver).
-    pub budget_exhausted_denials: u64,
-    /// Disclosures that crossed the budget warn threshold.
-    pub budget_warnings: u64,
-    /// Largest per-user budget spend seen, micro-units (gauge).
-    pub budget_spent_high_water_micros: u64,
-    /// Decisions scored into the risk histogram.
-    pub risk_count: u64,
-    /// Total risk across scored decisions, micro-units.
-    pub risk_sum_micros: u64,
-    /// Tenth-of-risk histogram buckets (`[k/10, (k+1)/10)`, last bucket
-    /// owns 1.0).
-    pub risk_buckets: Vec<u64>,
-    /// Worker threads in the process-wide [`epi_par`] solver pool.
-    pub pool_workers: u64,
-    /// Work-stealing events in the solver pool (process lifetime).
-    pub pool_steals: u64,
-    /// Solver arena buffer checkouts (process lifetime).
-    pub pool_arena_checkouts: u64,
-    /// Arena checkouts that had to allocate — flat while `checkouts`
-    /// climbs means the zero-allocation hot path is holding.
-    pub pool_arena_misses: u64,
-    /// High-water mark of bytes parked across the solver buffer pools.
-    pub pool_arena_high_water_bytes: u64,
-    /// Frontier waves the chunk policy kept sequential (process lifetime).
-    pub pool_waves_sequential: u64,
-    /// Frontier waves the chunk policy fanned out (process lifetime).
-    pub pool_waves_parallel: u64,
-    /// Batched structure-of-arrays kernel sweeps run by the wave engine.
-    pub pool_batch_sweeps: u64,
-    /// High-water mark of bytes staged at once in the wave engine's
-    /// structure-of-arrays buffers (midpoints + split axes + survivor
-    /// indices).
-    pub pool_soa_high_water_bytes: u64,
-    /// Spans recorded into the daemon's trace ring since startup.
-    pub trace_spans: u64,
-    /// Spans whose ring slot has since been overwritten (ring laps).
-    pub trace_dropped: u64,
-    /// Spans that crossed the slow-decision threshold since startup.
-    pub slow_decisions: u64,
-    /// Records appended to the durable disclosure log since startup
-    /// (zero when the daemon runs without a data directory).
-    pub wal_appends: u64,
-    /// Bytes written to the disclosure log since startup (framing
-    /// included).
-    pub wal_bytes: u64,
-    /// `fdatasync` calls issued by the disclosure log since startup.
-    /// Under group commit this is typically far below `wal_appends`.
-    pub wal_fsyncs: u64,
-    /// Compacted snapshots written since startup.
-    pub snapshot_count: u64,
-    /// Log records replayed during the last startup recovery.
-    pub recovery_replayed_records: u64,
-    /// Wall milliseconds the last startup recovery took.
-    pub recovery_millis: u64,
-    /// Per-stage decision counts and latency histograms.
-    pub stages: Vec<StageSnapshot>,
 }
 
 impl Snapshot {
@@ -444,9 +514,10 @@ impl Snapshot {
     }
 
     /// Renders the snapshot in Prometheus text exposition format
-    /// (version 0.0.4): every counter, the gauges, and one
-    /// `epi_stage_latency_micros` histogram series per pipeline stage
-    /// with cumulative `le` buckets, `_sum` and `_count`.
+    /// (version 0.0.4): every counter and gauge of the table, then the
+    /// risk histogram and one `epi_stage_latency_micros` histogram series
+    /// per pipeline stage with cumulative `le` buckets, `_sum` and
+    /// `_count`.
     ///
     /// Bucket `k` of the internal power-of-two histogram counts
     /// latencies in `[2^k, 2^(k+1))` µs, so its exposition upper bound
@@ -454,271 +525,12 @@ impl Snapshot {
     /// (which, being cumulative, always equals `_count`).
     pub fn render_prometheus(&self) -> String {
         let mut out = String::new();
-        let mut counter = |name: &str, help: &str, value: u64| {
+        for (row, value) in ROWS.iter().zip(self.values()) {
+            let (name, help, kind) = (row.prom, row.help, row.kind.as_str());
             out.push_str(&format!(
-                "# HELP {name} {help}\n# TYPE {name} counter\n{name} {value}\n"
+                "# HELP {name} {help}\n# TYPE {name} {kind}\n{name} {value}\n"
             ));
-        };
-        counter(
-            "epi_requests_total",
-            "Protocol requests handled.",
-            self.requests,
-        );
-        counter(
-            "epi_requests_inline_total",
-            "Requests the reactor answered without a handler thread.",
-            self.requests_inline,
-        );
-        counter(
-            "epi_decide_requests_total",
-            "Requests that needed a safety decision.",
-            self.decide_requests,
-        );
-        counter(
-            "epi_negative_gated_total",
-            "Disclosures short-circuited by the negative-result rule.",
-            self.negative_gated,
-        );
-        counter(
-            "epi_cache_hits_total",
-            "Verdict-cache hits.",
-            self.cache_hits,
-        );
-        counter(
-            "epi_cache_misses_total",
-            "Verdict-cache misses.",
-            self.cache_misses,
-        );
-        counter(
-            "epi_cache_evictions_total",
-            "Verdict-cache evictions.",
-            self.cache_evictions,
-        );
-        counter(
-            "epi_coalesced_total",
-            "Decisions coalesced onto an in-flight computation.",
-            self.coalesced,
-        );
-        counter(
-            "epi_computed_total",
-            "Decisions computed by workers.",
-            self.computed,
-        );
-        counter(
-            "epi_solver_boxes_total",
-            "Branch-and-bound boxes committed across computed decisions.",
-            self.solver_boxes,
-        );
-        counter(
-            "epi_solver_micros_total",
-            "Wall micros of decisions that ran the branch-and-bound.",
-            self.solver_micros,
-        );
-        counter(
-            "epi_worker_respawns_total",
-            "Worker iterations that recovered from a solver panic.",
-            self.worker_respawns,
-        );
-        counter(
-            "epi_shed_requests_total",
-            "Requests shed with `overloaded` under queue pressure.",
-            self.shed_requests,
-        );
-        counter(
-            "epi_deadline_exceeded_total",
-            "Decisions undecided because of deadline expiry or shutdown.",
-            self.deadline_exceeded,
-        );
-        counter(
-            "epi_connections_accepted_total",
-            "TCP connections accepted since startup.",
-            self.connections_accepted,
-        );
-        counter(
-            "epi_connections_evicted_idle_total",
-            "Connections evicted for idle/frame-deadline inactivity.",
-            self.connections_evicted_idle,
-        );
-        counter(
-            "epi_connections_evicted_overflow_total",
-            "Connections evicted for overflow (connection cap or write-queue hard limit).",
-            self.connections_evicted_overflow,
-        );
-        counter(
-            "epi_backpressure_stalls_total",
-            "Read pauses triggered by per-connection backpressure.",
-            self.backpressure_stalls,
-        );
-        counter(
-            "epi_pool_steals_total",
-            "Work-stealing events in the solver pool.",
-            self.pool_steals,
-        );
-        counter(
-            "epi_pool_arena_checkouts_total",
-            "Solver arena buffer checkouts.",
-            self.pool_arena_checkouts,
-        );
-        counter(
-            "epi_pool_arena_misses_total",
-            "Arena checkouts that had to allocate.",
-            self.pool_arena_misses,
-        );
-        counter(
-            "epi_pool_waves_sequential_total",
-            "Frontier waves kept sequential by the chunk policy.",
-            self.pool_waves_sequential,
-        );
-        counter(
-            "epi_pool_waves_parallel_total",
-            "Frontier waves fanned out by the chunk policy.",
-            self.pool_waves_parallel,
-        );
-        counter(
-            "epi_pool_batch_sweeps_total",
-            "Batched structure-of-arrays kernel sweeps run by the wave engine.",
-            self.pool_batch_sweeps,
-        );
-        counter(
-            "epi_trace_spans_total",
-            "Spans recorded into the trace ring.",
-            self.trace_spans,
-        );
-        counter(
-            "epi_trace_dropped_total",
-            "Trace-ring spans overwritten by newer ones.",
-            self.trace_dropped,
-        );
-        counter(
-            "epi_slow_decisions_total",
-            "Spans that crossed the slow-decision threshold.",
-            self.slow_decisions,
-        );
-        counter(
-            "epi_wal_appends_total",
-            "Records appended to the durable disclosure log.",
-            self.wal_appends,
-        );
-        counter(
-            "epi_wal_bytes_total",
-            "Bytes written to the disclosure log, framing included.",
-            self.wal_bytes,
-        );
-        counter(
-            "epi_wal_fsyncs_total",
-            "fdatasync calls issued by the disclosure log.",
-            self.wal_fsyncs,
-        );
-        counter(
-            "epi_snapshots_total",
-            "Compacted session snapshots written.",
-            self.snapshot_count,
-        );
-        counter(
-            "epi_admission_rejects_deadline_total",
-            "Requests rejected at admission: queue wait exceeded deadline.",
-            self.admission_rejects_deadline,
-        );
-        counter(
-            "epi_admission_rejects_limit_total",
-            "Requests rejected at admission by the adaptive concurrency limit.",
-            self.admission_rejects_limit,
-        );
-        counter(
-            "epi_admission_rejects_fairness_total",
-            "Requests rejected by the per-user fairness token bucket.",
-            self.admission_rejects_fairness,
-        );
-        counter(
-            "epi_admission_rejects_degraded_total",
-            "Requests refused in cache_only/frozen degradation modes.",
-            self.admission_rejects_degraded,
-        );
-        counter(
-            "epi_budget_exhausted_denials_total",
-            "Disclosures refused by the exposure-budget deny threshold.",
-            self.budget_exhausted_denials,
-        );
-        counter(
-            "epi_budget_warnings_total",
-            "Disclosures that crossed the exposure-budget warn threshold.",
-            self.budget_warnings,
-        );
-        let mut gauge = |name: &str, help: &str, value: u64| {
-            out.push_str(&format!(
-                "# HELP {name} {help}\n# TYPE {name} gauge\n{name} {value}\n"
-            ));
-        };
-        gauge(
-            "epi_queue_high_water",
-            "Worker-queue depth high-water mark.",
-            self.queue_high_water,
-        );
-        gauge(
-            "epi_connections_open",
-            "Currently open TCP connections.",
-            self.connections_open,
-        );
-        gauge(
-            "epi_read_buffer_high_water",
-            "High-water mark of any single connection's read buffer, bytes.",
-            self.read_buffer_high_water,
-        );
-        gauge(
-            "epi_write_buffer_high_water",
-            "High-water mark of any single connection's write queue, bytes.",
-            self.write_buffer_high_water,
-        );
-        gauge(
-            "epi_pool_workers",
-            "Worker threads in the process-wide solver pool.",
-            self.pool_workers,
-        );
-        gauge(
-            "epi_pool_arena_high_water_bytes",
-            "High-water mark of bytes parked in the solver buffer pools.",
-            self.pool_arena_high_water_bytes,
-        );
-        gauge(
-            "epi_pool_soa_high_water_bytes",
-            "High-water mark of bytes staged in the wave engine's SoA buffers.",
-            self.pool_soa_high_water_bytes,
-        );
-        gauge(
-            "epi_recovery_replayed_records",
-            "Log records replayed during the last startup recovery.",
-            self.recovery_replayed_records,
-        );
-        gauge(
-            "epi_recovery_millis",
-            "Wall milliseconds the last startup recovery took.",
-            self.recovery_millis,
-        );
-        gauge(
-            "epi_admission_limit",
-            "Current adaptive admission limit (concurrently admitted decisions).",
-            self.admission_limit,
-        );
-        gauge(
-            "epi_admission_wait_ewma_micros",
-            "EWMA of decision-queue wait, microseconds.",
-            self.admission_wait_ewma_micros,
-        );
-        gauge(
-            "epi_degradation_mode",
-            "Degradation-ladder mode (0 normal, 1 shedding, 2 cache_only, 3 frozen).",
-            self.degradation_mode,
-        );
-        gauge(
-            "epi_drain_micros",
-            "Wall microseconds the last graceful drain took.",
-            self.drain_micros,
-        );
-        gauge(
-            "epi_budget_spent_high_water_micros",
-            "Largest per-user exposure-budget spend seen, micro-units.",
-            self.budget_spent_high_water_micros,
-        );
+        }
         out.push_str(concat!(
             "# HELP epi_decision_risk Normalized per-decision risk score.\n",
             "# TYPE epi_decision_risk histogram\n",
@@ -815,199 +627,53 @@ impl Deserialize for StageSnapshot {
 
 impl Serialize for Snapshot {
     fn to_json(&self) -> Json {
-        Json::obj([
-            ("requests", Json::from(self.requests)),
-            ("requests_inline", Json::from(self.requests_inline)),
-            ("decide_requests", Json::from(self.decide_requests)),
-            ("negative_gated", Json::from(self.negative_gated)),
-            ("cache_hits", Json::from(self.cache_hits)),
-            ("cache_misses", Json::from(self.cache_misses)),
-            ("cache_evictions", Json::from(self.cache_evictions)),
-            ("coalesced", Json::from(self.coalesced)),
-            ("computed", Json::from(self.computed)),
-            ("queue_high_water", Json::from(self.queue_high_water)),
-            ("solver_boxes", Json::from(self.solver_boxes)),
-            ("solver_micros", Json::from(self.solver_micros)),
-            ("worker_respawns", Json::from(self.worker_respawns)),
-            ("shed_requests", Json::from(self.shed_requests)),
-            ("deadline_exceeded", Json::from(self.deadline_exceeded)),
-            ("connections_open", Json::from(self.connections_open)),
-            (
-                "connections_accepted",
-                Json::from(self.connections_accepted),
-            ),
-            (
-                "connections_evicted_idle",
-                Json::from(self.connections_evicted_idle),
-            ),
-            (
-                "connections_evicted_overflow",
-                Json::from(self.connections_evicted_overflow),
-            ),
-            ("backpressure_stalls", Json::from(self.backpressure_stalls)),
-            (
-                "read_buffer_high_water",
-                Json::from(self.read_buffer_high_water),
-            ),
-            (
-                "write_buffer_high_water",
-                Json::from(self.write_buffer_high_water),
-            ),
-            (
-                "admission_rejects_deadline",
-                Json::from(self.admission_rejects_deadline),
-            ),
-            (
-                "admission_rejects_limit",
-                Json::from(self.admission_rejects_limit),
-            ),
-            (
-                "admission_rejects_fairness",
-                Json::from(self.admission_rejects_fairness),
-            ),
-            (
-                "admission_rejects_degraded",
-                Json::from(self.admission_rejects_degraded),
-            ),
-            ("admission_limit", Json::from(self.admission_limit)),
-            (
-                "admission_wait_ewma_micros",
-                Json::from(self.admission_wait_ewma_micros),
-            ),
-            ("degradation_mode", Json::from(self.degradation_mode)),
-            ("drain_micros", Json::from(self.drain_micros)),
-            (
-                "budget_exhausted_denials",
-                Json::from(self.budget_exhausted_denials),
-            ),
-            ("budget_warnings", Json::from(self.budget_warnings)),
-            (
-                "budget_spent_high_water_micros",
-                Json::from(self.budget_spent_high_water_micros),
-            ),
-            ("risk_count", Json::from(self.risk_count)),
-            ("risk_sum_micros", Json::from(self.risk_sum_micros)),
-            ("risk_buckets", self.risk_buckets.to_json()),
-            ("pool_workers", Json::from(self.pool_workers)),
-            ("pool_steals", Json::from(self.pool_steals)),
-            (
-                "pool_arena_checkouts",
-                Json::from(self.pool_arena_checkouts),
-            ),
-            ("pool_arena_misses", Json::from(self.pool_arena_misses)),
-            (
-                "pool_arena_high_water_bytes",
-                Json::from(self.pool_arena_high_water_bytes),
-            ),
-            (
-                "pool_waves_sequential",
-                Json::from(self.pool_waves_sequential),
-            ),
-            ("pool_waves_parallel", Json::from(self.pool_waves_parallel)),
-            ("pool_batch_sweeps", Json::from(self.pool_batch_sweeps)),
-            (
-                "pool_soa_high_water_bytes",
-                Json::from(self.pool_soa_high_water_bytes),
-            ),
-            ("trace_spans", Json::from(self.trace_spans)),
-            ("trace_dropped", Json::from(self.trace_dropped)),
-            ("slow_decisions", Json::from(self.slow_decisions)),
-            ("wal_appends", Json::from(self.wal_appends)),
-            ("wal_bytes", Json::from(self.wal_bytes)),
-            ("wal_fsyncs", Json::from(self.wal_fsyncs)),
-            ("snapshot_count", Json::from(self.snapshot_count)),
-            (
-                "recovery_replayed_records",
-                Json::from(self.recovery_replayed_records),
-            ),
-            ("recovery_millis", Json::from(self.recovery_millis)),
+        let mut members: Vec<(&str, Json)> = ROWS
+            .iter()
+            .zip(self.values())
+            .map(|(row, value)| (row.key, Json::from(value)))
+            .collect();
+        members.splice(
+            RISK_AT..RISK_AT,
+            [
+                ("risk_count", Json::from(self.risk_count)),
+                ("risk_sum_micros", Json::from(self.risk_sum_micros)),
+                ("risk_buckets", self.risk_buckets.to_json()),
+            ],
+        );
+        members.extend([
             // Derived, for dashboards that read the JSON directly; the
             // deserializer recomputes them from the counters.
             ("cache_hit_rate", Json::from(self.cache_hit_rate())),
             ("boxes_per_sec", Json::from(self.boxes_per_sec())),
             ("stages", self.stages.to_json()),
-        ])
+        ]);
+        Json::obj(members)
     }
 }
 
 impl Deserialize for Snapshot {
+    /// Decodes snapshots of every daemon generation: a row marked
+    /// `Zero` (and each risk-histogram member) may be absent and reads
+    /// as zero, and keys no row names — such as the retired `pool_tasks`
+    /// and `pool_queue_*` counters — are ignored.
     fn from_json(v: &Json) -> Result<Snapshot, JsonError> {
-        Ok(Snapshot {
-            requests: field(v, "requests")?,
-            decide_requests: field(v, "decide_requests")?,
-            // Absent in snapshots from daemons that answered every
-            // request on a handler thread.
-            requests_inline: opt_field(v, "requests_inline")?.unwrap_or(0),
-            // Tolerant decode for counters that some daemon generations
-            // omit: a snapshot from an older (or minimally-configured)
-            // daemon must parse, with absent counters reading as zero.
-            // Requiring these used to reject otherwise-valid snapshots.
-            negative_gated: opt_field(v, "negative_gated")?.unwrap_or(0),
-            cache_hits: field(v, "cache_hits")?,
-            cache_misses: field(v, "cache_misses")?,
-            cache_evictions: field(v, "cache_evictions")?,
-            coalesced: opt_field(v, "coalesced")?.unwrap_or(0),
-            computed: field(v, "computed")?,
-            queue_high_water: opt_field(v, "queue_high_water")?.unwrap_or(0),
-            // Absent in snapshots from pre-parallel-engine daemons.
-            solver_boxes: opt_field(v, "solver_boxes")?.unwrap_or(0),
-            solver_micros: opt_field(v, "solver_micros")?.unwrap_or(0),
-            // Absent in snapshots from pre-fault-tolerance daemons.
-            worker_respawns: opt_field(v, "worker_respawns")?.unwrap_or(0),
-            shed_requests: opt_field(v, "shed_requests")?.unwrap_or(0),
-            deadline_exceeded: opt_field(v, "deadline_exceeded")?.unwrap_or(0),
-            // Absent in snapshots from pre-reactor daemons.
-            connections_open: opt_field(v, "connections_open")?.unwrap_or(0),
-            connections_accepted: opt_field(v, "connections_accepted")?.unwrap_or(0),
-            connections_evicted_idle: opt_field(v, "connections_evicted_idle")?.unwrap_or(0),
-            connections_evicted_overflow: opt_field(v, "connections_evicted_overflow")?
-                .unwrap_or(0),
-            backpressure_stalls: opt_field(v, "backpressure_stalls")?.unwrap_or(0),
-            read_buffer_high_water: opt_field(v, "read_buffer_high_water")?.unwrap_or(0),
-            write_buffer_high_water: opt_field(v, "write_buffer_high_water")?.unwrap_or(0),
-            // Absent in snapshots from pre-overload-control daemons.
-            admission_rejects_deadline: opt_field(v, "admission_rejects_deadline")?.unwrap_or(0),
-            admission_rejects_limit: opt_field(v, "admission_rejects_limit")?.unwrap_or(0),
-            admission_rejects_fairness: opt_field(v, "admission_rejects_fairness")?.unwrap_or(0),
-            admission_rejects_degraded: opt_field(v, "admission_rejects_degraded")?.unwrap_or(0),
-            admission_limit: opt_field(v, "admission_limit")?.unwrap_or(0),
-            admission_wait_ewma_micros: opt_field(v, "admission_wait_ewma_micros")?.unwrap_or(0),
-            degradation_mode: opt_field(v, "degradation_mode")?.unwrap_or(0),
-            drain_micros: opt_field(v, "drain_micros")?.unwrap_or(0),
-            // Absent in snapshots from pre-budget daemons: every budget
-            // and risk member decodes to its zero state, and the absent
-            // histogram reads as all-empty buckets so a decoded legacy
-            // snapshot compares equal to a fresh registry's.
-            budget_exhausted_denials: opt_field(v, "budget_exhausted_denials")?.unwrap_or(0),
-            budget_warnings: opt_field(v, "budget_warnings")?.unwrap_or(0),
-            budget_spent_high_water_micros: opt_field(v, "budget_spent_high_water_micros")?
-                .unwrap_or(0),
-            risk_count: opt_field(v, "risk_count")?.unwrap_or(0),
-            risk_sum_micros: opt_field(v, "risk_sum_micros")?.unwrap_or(0),
-            risk_buckets: opt_field(v, "risk_buckets")?.unwrap_or_else(|| vec![0; RISK_BUCKETS]),
-            pool_workers: opt_field(v, "pool_workers")?.unwrap_or(0),
-            pool_steals: opt_field(v, "pool_steals")?.unwrap_or(0),
-            // Absent in snapshots from pre-arena daemons.
-            pool_arena_checkouts: opt_field(v, "pool_arena_checkouts")?.unwrap_or(0),
-            pool_arena_misses: opt_field(v, "pool_arena_misses")?.unwrap_or(0),
-            pool_arena_high_water_bytes: opt_field(v, "pool_arena_high_water_bytes")?.unwrap_or(0),
-            pool_waves_sequential: opt_field(v, "pool_waves_sequential")?.unwrap_or(0),
-            pool_waves_parallel: opt_field(v, "pool_waves_parallel")?.unwrap_or(0),
-            // Absent in snapshots from pre-batching daemons.
-            pool_batch_sweeps: opt_field(v, "pool_batch_sweeps")?.unwrap_or(0),
-            pool_soa_high_water_bytes: opt_field(v, "pool_soa_high_water_bytes")?.unwrap_or(0),
-            trace_spans: opt_field(v, "trace_spans")?.unwrap_or(0),
-            trace_dropped: opt_field(v, "trace_dropped")?.unwrap_or(0),
-            slow_decisions: opt_field(v, "slow_decisions")?.unwrap_or(0),
-            // Absent in snapshots from pre-persistence daemons.
-            wal_appends: opt_field(v, "wal_appends")?.unwrap_or(0),
-            wal_bytes: opt_field(v, "wal_bytes")?.unwrap_or(0),
-            wal_fsyncs: opt_field(v, "wal_fsyncs")?.unwrap_or(0),
-            snapshot_count: opt_field(v, "snapshot_count")?.unwrap_or(0),
-            recovery_replayed_records: opt_field(v, "recovery_replayed_records")?.unwrap_or(0),
-            recovery_millis: opt_field(v, "recovery_millis")?.unwrap_or(0),
-            stages: field(v, "stages")?,
-        })
+        let mut values = [0; ROWS.len()];
+        for (value, row) in values.iter_mut().zip(&ROWS) {
+            *value = match row.legacy {
+                Legacy::Required => field(v, row.key)?,
+                Legacy::Zero => zero_default(v, row.key)?,
+            };
+        }
+        Ok(Snapshot::from_values(
+            values,
+            zero_default(v, "risk_count")?,
+            zero_default(v, "risk_sum_micros")?,
+            // An absent histogram reads as all-empty buckets, so a
+            // decoded legacy snapshot compares equal to a fresh
+            // registry's.
+            opt_field(v, "risk_buckets")?.unwrap_or_else(|| vec![0; RISK_BUCKETS]),
+            field(v, "stages")?,
+        ))
     }
 }
 
@@ -1401,5 +1067,124 @@ mod tests {
             .contains("epi_stage_latency_micros_bucket{stage=\"branch_and_bound\",le=\"+Inf\"} 1"));
         assert!(text.contains("epi_stage_latency_micros_sum{stage=\"branch_and_bound\"} 900"));
         assert!(text.contains("epi_trace_spans_total 3"));
+    }
+
+    /// A snapshot whose every table row holds a distinct non-zero value
+    /// (`1000 + row index`), set through the JSON decoder by key so that
+    /// no row can be skipped.
+    fn distinct_snapshot() -> Snapshot {
+        let mut v = Json::parse(&Metrics::new().snapshot().to_json().render()).unwrap();
+        let Json::Obj(members) = &mut v else {
+            panic!("a snapshot renders as an object")
+        };
+        for (i, row) in ROWS.iter().enumerate() {
+            let (_, value) = members.iter_mut().find(|(k, _)| k == row.key).unwrap();
+            *value = Json::from(1_000 + i as u64);
+        }
+        Snapshot::from_json(&v).unwrap()
+    }
+
+    fn row_index(key: &str) -> u64 {
+        ROWS.iter().position(|row| row.key == key).unwrap() as u64
+    }
+
+    #[test]
+    fn every_table_row_roundtrips_in_table_order() {
+        let snap = distinct_snapshot();
+        // Spot-check the generated field mapping by name.
+        assert_eq!(snap.requests, 1_000 + row_index("requests"));
+        assert_eq!(snap.admission_limit, 1_000 + row_index("admission_limit"));
+        assert_eq!(snap.pool_workers, 1_000 + row_index("pool_workers"));
+        assert_eq!(snap.wal_fsyncs, 1_000 + row_index("wal_fsyncs"));
+        assert_eq!(snap.recovery_millis, 1_000 + row_index("recovery_millis"));
+
+        let text = snap.to_json().render();
+        let parsed = Json::parse(&text).unwrap();
+        assert_eq!(Snapshot::from_json(&parsed).unwrap(), snap);
+        let Json::Obj(members) = parsed else {
+            panic!("a snapshot renders as an object")
+        };
+        let rendered: Vec<&str> = members
+            .iter()
+            .map(|(k, _)| k.as_str())
+            .filter(|k| ROWS.iter().any(|row| row.key == *k))
+            .collect();
+        let table: Vec<&str> = ROWS.iter().map(|row| row.key).collect();
+        assert_eq!(rendered, table);
+        // The hand-written members keep their places: the risk histogram
+        // after the budget rows, the derived rates and stages last.
+        let all: Vec<&str> = members.iter().map(|(k, _)| k.as_str()).collect();
+        let at = all.iter().position(|k| *k == "risk_count").unwrap();
+        assert_eq!(all[at - 1], "budget_spent_high_water_micros");
+        assert_eq!(
+            all[at..at + 4],
+            [
+                "risk_count",
+                "risk_sum_micros",
+                "risk_buckets",
+                "pool_workers"
+            ]
+        );
+        assert_eq!(
+            all[all.len() - 3..],
+            ["cache_hit_rate", "boxes_per_sec", "stages"]
+        );
+
+        let prom = snap.render_prometheus();
+        for (i, row) in ROWS.iter().enumerate() {
+            let (name, kind, value) = (row.prom, row.kind.as_str(), 1_000 + i);
+            assert!(prom.contains(&format!("# TYPE {name} {kind}\n")), "{name}");
+            assert!(prom.contains(&format!("\n{name} {value}\n")), "{name}");
+        }
+    }
+
+    #[test]
+    fn legacy_snapshots_may_omit_every_row_but_the_required_ones() {
+        let text = distinct_snapshot().to_json().render();
+        let mut required = Vec::new();
+        for row in &ROWS {
+            let mut v = Json::parse(&text).unwrap();
+            if let Json::Obj(members) = &mut v {
+                members.retain(|(k, _)| k != row.key);
+            }
+            match Snapshot::from_json(&v) {
+                Ok(back) => {
+                    assert_eq!(row.legacy, Legacy::Zero, "{}", row.key);
+                    let i = row_index(row.key) as usize;
+                    assert_eq!(back.values()[i], 0, "{} decodes as zero", row.key);
+                }
+                Err(_) => required.push(row.key),
+            }
+        }
+        assert_eq!(
+            required,
+            [
+                "requests",
+                "decide_requests",
+                "cache_hits",
+                "cache_misses",
+                "cache_evictions",
+                "computed"
+            ]
+        );
+    }
+
+    #[test]
+    fn protocol_doc_names_every_stats_key() {
+        let doc = include_str!("../../../docs/PROTOCOL.md");
+        let hand_written = [
+            "risk_count",
+            "risk_sum_micros",
+            "risk_buckets",
+            "cache_hit_rate",
+            "boxes_per_sec",
+            "stages",
+        ];
+        for key in ROWS.iter().map(|row| row.key).chain(hand_written) {
+            assert!(
+                doc.contains(&format!("`{key}`")),
+                "docs/PROTOCOL.md does not document the stats key `{key}`"
+            );
+        }
     }
 }

@@ -1,5 +1,7 @@
 //! The readiness-reactor front-end: thousands of connections, a handful
-//! of threads.
+//! of threads. It is the daemon's only TCP front-end; where the poller
+//! has no backend (any target but Linux), spawning it fails with
+//! [`std::io::ErrorKind::Unsupported`].
 //!
 //! One (or `EPI_REACTOR_THREADS`) reactor thread(s) own the sockets. A
 //! reactor never blocks on I/O: it sleeps in the poller
@@ -100,8 +102,7 @@ struct Tuning {
 
 impl Tuning {
     fn from_options(options: &ServerOptions) -> Tuning {
-        let idle_timeout = options.idle_timeout.or(options.read_timeout);
-        let frame_timeout = options.frame_timeout.or(options.read_timeout);
+        let (idle_timeout, frame_timeout) = (options.idle_timeout, options.frame_timeout);
         let shortest = [idle_timeout, frame_timeout]
             .into_iter()
             .flatten()
@@ -1003,7 +1004,7 @@ impl ReactorServer {
 
         // Build every poller before spawning anything, so an unsupported
         // platform (or fd exhaustion) fails the whole construction
-        // cleanly and the caller can fall back.
+        // cleanly, with no thread left behind.
         let mut pollers = Vec::with_capacity(threads);
         for (i, rx) in wake_rxs.iter().enumerate() {
             let poller = Poller::new()?;

@@ -1,85 +1,60 @@
 //! Newline-delimited JSON over TCP, std threads only.
 //!
-//! Two front-end implementations share one wire protocol:
+//! The front-end is a readiness event loop (the crate-private `reactor`
+//! module; Linux `epoll` through the `epoll-shim` poller) that multiplexes every
+//! connection over one (or `EPI_REACTOR_THREADS`) reactor thread(s):
+//! nonblocking sockets, bounded per-connection read buffers with
+//! incremental frame scanning, bounded write queues drained on
+//! writability, request pipelining, and per-connection backpressure.
+//! Idle connections cost a few hundred bytes, not a thread. The reactor
+//! answers every request that cannot block itself (reads, malformed
+//! lines, disclosures that need no decision or whose verdict is cached)
+//! and hands only the rest to [`ServerOptions::handler_threads`] handler
+//! threads: disclosures that miss the verdict cache, every `cumulative`,
+//! and — because a session shard's lock is held across the disclosure
+//! log's fsync — every request on a durable store. On a target without
+//! a poller backend [`Server::spawn_with`] fails with
+//! [`std::io::ErrorKind::Unsupported`]; the in-process
+//! [`AuditService`] and [`crate::LocalClient`] work everywhere.
 //!
-//! * **Reactor** (default on Linux) — a readiness event loop
-//!   ([`crate::reactor`]) multiplexes every connection over one (or
-//!   `EPI_REACTOR_THREADS`) reactor thread(s) using the `epoll-shim`
-//!   poller: nonblocking sockets, bounded per-connection read buffers
-//!   with incremental frame scanning, bounded write queues drained on
-//!   writability, request pipelining, and per-connection backpressure.
-//!   Idle connections cost a few hundred bytes, not a thread. The
-//!   reactor answers every request that cannot block itself (reads,
-//!   malformed lines, disclosures that need no decision or whose
-//!   verdict is cached) and hands only the rest to
-//!   [`ServerOptions::handler_threads`] handler threads: disclosures
-//!   that miss the verdict cache, every `cumulative`, and — because a
-//!   session shard's lock is held across the disclosure log's fsync —
-//!   every request on a durable store.
-//! * **Thread-per-connection** (legacy, and the fallback wherever the
-//!   poller is unsupported) — one acceptor thread, one blocking thread
-//!   per connection, which runs [`AuditService::handle_with_meta`].
-//!
-//! Either way each request line is parsed once and answered with one
-//! response line, the same bytes whichever thread answers it.
-//! Malformed lines produce an `error` response on the same connection
-//! rather than tearing it down.
+//! Each request line is parsed once and answered with one response
+//! line, the same bytes whichever thread answers it. Malformed lines
+//! produce an `error` response on the same connection rather than
+//! tearing it down.
 //!
 //! # Fault tolerance
 //!
 //! A dead or silent peer cannot pin resources forever: the reactor
-//! evicts connections idle past [`ServerOptions::idle_timeout`] and —
-//! unlike the legacy per-syscall `read_timeout`, which silently reset
-//! on every byte — evicts a *started* frame that has not completed
-//! within [`ServerOptions::frame_timeout`], so a dribbling writer
-//! cannot hold a buffer open indefinitely. Request lines are length-
-//! bounded so one hostile client cannot balloon memory, accept-loop
-//! errors are non-fatal, and connection counts are capped.
+//! evicts connections idle past [`ServerOptions::idle_timeout`] and
+//! evicts a *started* frame that has not completed within
+//! [`ServerOptions::frame_timeout`], so a dribbling writer cannot hold a
+//! buffer open indefinitely. Request lines are length-bounded so one
+//! hostile client cannot balloon memory, accept-loop errors are
+//! non-fatal, and connection counts are capped.
 
 use crate::proto::{ErrorCode, Request, RequestMeta, Response};
 use crate::service::AuditService;
 use epi_json::{Deserialize, Json};
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
-use std::thread::JoinHandle;
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Which front-end implementation a [`Server`] runs.
+/// The front-end a [`Server`] runs. The readiness reactor is the only
+/// one; the type stays so that callers which check
+/// `server.mode() == ServerMode::Reactor` keep compiling.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ServerMode {
-    /// Use the readiness reactor when the platform supports it (and
-    /// `EPI_REACTOR` is not `0`/`off`), else fall back to
-    /// thread-per-connection. The default.
-    Auto,
-    /// Require the readiness reactor; [`Server::spawn_with`] fails on
-    /// platforms without a poller backend.
+    /// The readiness reactor.
     Reactor,
-    /// Force the legacy blocking thread-per-connection front-end.
-    Threaded,
 }
 
 /// Socket-level tunables of a [`Server`].
 #[derive(Clone, Copy, Debug)]
 pub struct ServerOptions {
-    /// Read timeout on accepted connections: an idle peer is disconnected
-    /// after this long (`None` = wait forever, the pre-fault-tolerance
-    /// behaviour). The reactor treats this as the default for
-    /// [`ServerOptions::idle_timeout`] and
-    /// [`ServerOptions::frame_timeout`]; the legacy front-end applies it
-    /// per blocking read syscall.
-    pub read_timeout: Option<Duration>,
-    /// Write timeout on accepted connections (legacy front-end only; the
-    /// reactor never blocks on writes — a peer that stops reading is
-    /// caught by `idle_timeout` once its write queue stalls).
-    pub write_timeout: Option<Duration>,
     /// Maximum request-line length in bytes; longer lines get an error
     /// response and the connection is closed (the remainder of an
     /// oversized line cannot be resynchronized reliably).
     pub max_line_bytes: usize,
-    /// Front-end selection (see [`ServerMode`]).
-    pub mode: ServerMode,
     /// Reactor threads multiplexing connections. `0` (default) reads
     /// `EPI_REACTOR_THREADS`, else uses 1.
     pub reactor_threads: usize,
@@ -100,13 +75,13 @@ pub struct ServerOptions {
     /// Per-connection write-queue hard cap; a connection that exceeds it
     /// (a peer that pipelines hard but never reads) is evicted.
     pub write_overflow: usize,
-    /// Reactor: evict a connection with no activity, no buffered input
-    /// and no in-flight work after this long. `None` falls back to
-    /// `read_timeout`.
+    /// Evict a connection with no activity, no buffered input and no
+    /// in-flight work after this long (`None` = never). A peer that
+    /// stops reading is caught here once its write queue stalls.
     pub idle_timeout: Option<Duration>,
-    /// Reactor: a started frame (bytes received, no terminating newline)
-    /// must complete within this deadline or the connection is evicted —
-    /// the slowloris guard. `None` falls back to `read_timeout`.
+    /// A started frame (bytes received, no terminating newline) must
+    /// complete within this deadline or the connection is evicted — the
+    /// slowloris guard (`None` = no deadline).
     pub frame_timeout: Option<Duration>,
     /// Hard cap on simultaneously open connections; accepts beyond it
     /// are closed immediately and counted as overflow evictions.
@@ -116,18 +91,15 @@ pub struct ServerOptions {
 impl Default for ServerOptions {
     fn default() -> ServerOptions {
         ServerOptions {
-            read_timeout: Some(Duration::from_secs(60)),
-            write_timeout: Some(Duration::from_secs(60)),
             max_line_bytes: 1 << 20,
-            mode: ServerMode::Auto,
             reactor_threads: 0,
             handler_threads: 8,
             dispatch_capacity: 128,
             max_inflight_per_conn: 32,
             write_high_water: 256 << 10,
             write_overflow: 8 << 20,
-            idle_timeout: None,
-            frame_timeout: None,
+            idle_timeout: Some(Duration::from_secs(60)),
+            frame_timeout: Some(Duration::from_secs(60)),
             max_connections: 16 << 10,
         }
     }
@@ -144,30 +116,13 @@ impl ServerOptions {
             .filter(|&n| n > 0)
             .unwrap_or(1)
     }
-
-    fn reactor_disabled_by_env() -> bool {
-        matches!(
-            std::env::var("EPI_REACTOR").as_deref(),
-            Ok("0") | Ok("off") | Ok("false") | Ok("legacy")
-        )
-    }
-}
-
-enum Inner {
-    Threaded {
-        shutdown: Arc<AtomicBool>,
-        acceptor: Option<JoinHandle<()>>,
-        connections: Arc<Mutex<Vec<JoinHandle<()>>>>,
-    },
-    #[cfg(unix)]
-    Reactor(crate::reactor::ReactorServer),
 }
 
 /// A running TCP front-end over an [`AuditService`].
 pub struct Server {
     addr: SocketAddr,
-    mode: ServerMode,
-    inner: Inner,
+    #[cfg(unix)]
+    reactor: crate::reactor::ReactorServer,
     /// Kept so [`Server::drain`] can flip the service-level drain flag
     /// and flush the WAL without the caller having to thread the
     /// service handle back in.
@@ -181,7 +136,9 @@ impl Server {
         Self::spawn_with(service, addr, ServerOptions::default())
     }
 
-    /// [`Server::spawn`] with explicit socket options.
+    /// [`Server::spawn`] with explicit socket options. Fails with
+    /// [`std::io::ErrorKind::Unsupported`] on a target without a poller
+    /// backend.
     pub fn spawn_with(
         service: Arc<AuditService>,
         addr: impl ToSocketAddrs,
@@ -191,49 +148,22 @@ impl Server {
         let addr = listener.local_addr()?;
         #[cfg(unix)]
         {
-            let want_reactor = match options.mode {
-                ServerMode::Reactor => true,
-                ServerMode::Auto => !ServerOptions::reactor_disabled_by_env(),
-                ServerMode::Threaded => false,
-            };
-            if want_reactor {
-                match crate::reactor::ReactorServer::spawn(
-                    Arc::clone(&service),
-                    listener.try_clone()?,
-                    &options,
-                ) {
-                    Ok(reactor) => {
-                        return Ok(Server {
-                            addr,
-                            mode: ServerMode::Reactor,
-                            inner: Inner::Reactor(reactor),
-                            service,
-                        })
-                    }
-                    Err(e) if options.mode == ServerMode::Reactor => return Err(e),
-                    // Auto: no poller backend here — fall through to the
-                    // blocking front-end.
-                    Err(_) => {}
-                }
-            }
+            let reactor =
+                crate::reactor::ReactorServer::spawn(Arc::clone(&service), listener, &options)?;
+            Ok(Server {
+                addr,
+                reactor,
+                service,
+            })
         }
         #[cfg(not(unix))]
-        if options.mode == ServerMode::Reactor {
-            return Err(std::io::Error::new(
+        {
+            let _ = (addr, service, options);
+            Err(std::io::Error::new(
                 std::io::ErrorKind::Unsupported,
-                "reactor mode requires a poller backend (epoll)",
-            ));
+                "the TCP front-end requires a poller backend (epoll)",
+            ))
         }
-        // When the reactor path bailed out, the listener may have been
-        // switched to nonblocking during the attempt; undo that for the
-        // blocking accept loop.
-        listener.set_nonblocking(false)?;
-        Ok(Server {
-            addr,
-            mode: ServerMode::Threaded,
-            inner: spawn_threaded(Arc::clone(&service), listener, options),
-            service,
-        })
     }
 
     /// The bound address (useful with ephemeral ports).
@@ -241,19 +171,14 @@ impl Server {
         self.addr
     }
 
-    /// The front-end the server actually runs (never
-    /// [`ServerMode::Auto`]).
+    /// The front-end the server runs: always [`ServerMode::Reactor`].
     pub fn mode(&self) -> ServerMode {
-        self.mode
+        ServerMode::Reactor
     }
 
-    /// Stops accepting and tears the front-end down. The reactor closes
-    /// every open connection immediately; the legacy front-end waits for
-    /// connection threads, which run until their peer closes or times
-    /// out.
-    pub fn shutdown(mut self) {
-        self.stop();
-    }
+    /// Stops accepting and tears the front-end down, closing every open
+    /// connection immediately. Dropping the server does the same.
+    pub fn shutdown(self) {}
 
     /// Graceful drain, the orderly alternative to [`Server::shutdown`]:
     ///
@@ -261,32 +186,23 @@ impl Server {
     ///    requests get a non-retryable `draining` error),
     /// 2. stops accepting connections,
     /// 3. lets every already-accepted in-flight request complete and
-    ///    flush its reply (reactor front-end; frames arriving after the
-    ///    flip are answered with `draining` refusals),
+    ///    flush its reply (frames arriving after the flip are answered
+    ///    with `draining` refusals),
     /// 4. flushes and fsyncs the disclosure log,
     /// 5. tears the front-end down.
     ///
     /// Returns `true` when every connection drained before `timeout`;
     /// `false` when the deadline forced stragglers closed (the WAL is
     /// still flushed either way). The elapsed time lands in the
-    /// `drain_micros` gauge. The legacy threaded front-end has no
-    /// connection-level drain: its blocking threads already answer
-    /// `draining` via the service flag, and teardown joins them as
-    /// [`Server::shutdown`] does.
+    /// `drain_micros` gauge.
     pub fn drain(mut self, timeout: Duration) -> bool {
         let started = Instant::now();
         self.service.set_draining(true);
         #[cfg(unix)]
-        let clean = if let Inner::Reactor(reactor) = &mut self.inner {
-            reactor.drain(timeout)
-        } else {
-            self.stop();
-            true
-        };
+        let clean = self.reactor.drain(timeout);
         #[cfg(not(unix))]
         let clean = {
             let _ = timeout;
-            self.stop();
             true
         };
         let _ = self.service.flush_wal();
@@ -295,105 +211,6 @@ impl Server {
             u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX),
         );
         clean
-    }
-
-    fn stop(&mut self) {
-        match &mut self.inner {
-            Inner::Threaded {
-                shutdown,
-                acceptor,
-                connections,
-            } => {
-                if shutdown.swap(true, Ordering::SeqCst) {
-                    return;
-                }
-                // Nudge the acceptor out of `incoming()`.
-                let _ = TcpStream::connect(self.addr);
-                if let Some(acceptor) = acceptor.take() {
-                    let _ = acceptor.join();
-                }
-                let handles: Vec<_> = connections
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .drain(..)
-                    .collect();
-                for h in handles {
-                    let _ = h.join();
-                }
-            }
-            #[cfg(unix)]
-            Inner::Reactor(reactor) => reactor.stop(),
-        }
-    }
-}
-
-impl Drop for Server {
-    fn drop(&mut self) {
-        self.stop();
-    }
-}
-
-fn spawn_threaded(
-    service: Arc<AuditService>,
-    listener: TcpListener,
-    options: ServerOptions,
-) -> Inner {
-    let shutdown = Arc::new(AtomicBool::new(false));
-    let connections = Arc::new(Mutex::new(Vec::new()));
-    let acceptor = {
-        let shutdown = Arc::clone(&shutdown);
-        let connections = Arc::clone(&connections);
-        std::thread::spawn(move || {
-            for stream in listener.incoming() {
-                if shutdown.load(Ordering::SeqCst) {
-                    break;
-                }
-                // Transient accept failures (EMFILE, aborted
-                // handshakes…) must not kill the daemon.
-                let Ok(stream) = stream else { continue };
-                let metrics = service.metrics_registry();
-                crate::metrics::Metrics::incr(&metrics.connections_accepted);
-                crate::metrics::Metrics::incr(&metrics.connections_open);
-                let service = Arc::clone(&service);
-                let handle = std::thread::spawn(move || {
-                    handle_connection(&service, stream, options);
-                    crate::metrics::Metrics::decr(&metrics.connections_open);
-                });
-                let mut registry = connections.lock().unwrap_or_else(PoisonError::into_inner);
-                registry.retain(|h: &JoinHandle<()>| !h.is_finished());
-                registry.push(handle);
-            }
-        })
-    };
-    Inner::Threaded {
-        shutdown,
-        acceptor: Some(acceptor),
-        connections,
-    }
-}
-
-/// Reads one `\n`-terminated line of at most `limit` bytes.
-///
-/// `Ok(Some(line))` on success, `Ok(None)` at EOF or timeout,
-/// `Err(())` when the line exceeded the limit (protocol violation).
-fn read_bounded_line(
-    reader: &mut std::io::Take<BufReader<TcpStream>>,
-    limit: usize,
-) -> Result<Option<String>, ()> {
-    reader.set_limit(limit as u64 + 1);
-    let mut buf = Vec::new();
-    match reader.read_until(b'\n', &mut buf) {
-        Ok(0) => Ok(None),
-        Ok(_) => {
-            if buf.last() != Some(&b'\n') && buf.len() > limit {
-                // The limit cut the read before any newline: oversized.
-                return Err(());
-            }
-            Ok(Some(String::from_utf8_lossy(&buf).into_owned()))
-        }
-        // Timeouts surface as WouldBlock (unix) or TimedOut (windows);
-        // either way the peer went silent past the grace period.
-        Err(_) => Ok(None),
     }
 }
 
@@ -424,27 +241,8 @@ pub(crate) fn reply_line(response: &Response, id: Option<&str>) -> String {
     out
 }
 
-/// Parses one request line and produces the response line to send back,
-/// recording the `server.handle` span — the blocking front-end's whole
-/// request path.
-fn respond_to_line(service: &AuditService, line: &str) -> String {
-    match parse_line(line) {
-        Ok((request, meta)) => {
-            let response = {
-                let _span = service
-                    .tracer()
-                    .start(meta.trace.as_deref(), "server.handle");
-                service.handle_with_meta(&request, &meta)
-            };
-            reply_line(&response, meta.id.as_deref())
-        }
-        Err(refusal) => refusal,
-    }
-}
-
-/// The refusal line for an oversized request frame (shared by both
-/// front-ends; carries no id — the envelope of an oversized line is
-/// unreadable by construction).
+/// The refusal line for an oversized request frame (carries no id —
+/// the envelope of an oversized line is unreadable by construction).
 pub(crate) fn oversize_refusal(max_line_bytes: usize) -> String {
     let refusal = Response::bad_request(format!("request line exceeds {} bytes", max_line_bytes));
     reply_line(&refusal, None)
@@ -467,34 +265,4 @@ pub(crate) fn draining_refusal(line: &str) -> String {
         retry_after_ms: None,
     };
     reply_line(&refusal, id.as_deref())
-}
-
-fn handle_connection(service: &AuditService, stream: TcpStream, options: ServerOptions) {
-    // Best-effort: a socket that rejects timeout configuration still
-    // serves, it just keeps the old wait-forever behaviour.
-    let _ = stream.set_read_timeout(options.read_timeout);
-    let _ = stream.set_write_timeout(options.write_timeout);
-    let Ok(peer) = stream.try_clone() else { return };
-    let mut reader = BufReader::new(peer).take(0);
-    let mut writer = stream;
-    loop {
-        let line = match read_bounded_line(&mut reader, options.max_line_bytes) {
-            Ok(Some(line)) => line,
-            Ok(None) => break,
-            Err(()) => {
-                let _ = writer.write_all(oversize_refusal(options.max_line_bytes).as_bytes());
-                break;
-            }
-        };
-        if line.trim().is_empty() {
-            continue;
-        }
-        let out = respond_to_line(service, &line);
-        if writer.write_all(out.as_bytes()).is_err() {
-            break;
-        }
-        if writer.flush().is_err() {
-            break;
-        }
-    }
 }

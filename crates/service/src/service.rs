@@ -1,7 +1,7 @@
 //! The in-process core of the auditing daemon.
 //!
 //! [`AuditService`] owns the schema, the sharded [`SessionStore`], the
-//! [`DecisionPool`](crate::worker::DecisionPool) and the [`Metrics`]
+//! [`DecisionPool`] and the [`Metrics`]
 //! registry, and maps protocol [`Request`]s to [`Response`]s. The TCP
 //! server in [`crate::server`] is a thin line-framing layer over
 //! [`AuditService::handle_with_meta`], which its reactor runs in two
@@ -27,7 +27,7 @@ use crate::admission::{
     TokenBuckets,
 };
 use crate::cache::DecisionKey;
-use crate::metrics::{Metrics, Snapshot};
+use crate::metrics::{Folded, Metrics, Snapshot};
 use crate::proto::{
     BudgetInfo, ErrorCode, HealthInfo, Request, RequestMeta, Response, SessionInfo, WireSpan,
 };
@@ -532,29 +532,18 @@ impl AuditService {
         &self.schema
     }
 
-    /// A point-in-time copy of the service's counters, with the trace
-    /// recorder's totals and the disclosure log's counters folded in.
+    /// A point-in-time copy of the service's counters, with the values
+    /// their owners keep (trace ring, disclosure log, recovery,
+    /// admission controller, degradation ladder) folded in.
     pub fn metrics(&self) -> Snapshot {
-        let mut snap = self.metrics.snapshot();
-        snap.trace_spans = self.tracer.spans_recorded();
-        snap.trace_dropped = self.tracer.spans_dropped();
-        snap.slow_decisions = self.tracer.slow_total();
-        if let Some(wal) = self.sessions.wal() {
-            let stats = wal.stats();
-            snap.wal_appends = stats.appends;
-            snap.wal_bytes = stats.bytes;
-            snap.wal_fsyncs = stats.fsyncs;
-            snap.snapshot_count = stats.snapshots;
-        }
-        if let Some(report) = &self.recovery {
-            snap.recovery_replayed_records = report.replayed_records;
-            snap.recovery_millis = report.millis;
-        }
-        let admission = self.pool.admission();
-        snap.admission_limit = admission.limit() as u64;
-        snap.admission_wait_ewma_micros = admission.estimated_wait_micros();
-        snap.degradation_mode = self.ladder.current().as_gauge();
-        snap
+        self.metrics.snapshot_with(&Folded {
+            tracer: Some(&self.tracer),
+            wal: self.sessions.wal().map(|wal| wal.stats()),
+            recovery: self.recovery.as_ref(),
+            admission: Some(self.pool.admission()),
+            mode: Some(self.ladder.current()),
+            ..Folded::solver_pool()
+        })
     }
 
     /// The service's span recorder — for embedders that want to read (or
@@ -639,7 +628,6 @@ impl AuditService {
                 .is_some_and(|wal| wal.fsync_ewma_micros() > self.freeze_fsync_stall_micros),
         };
         let mode = self.ladder.evaluate(signals);
-        Metrics::set_gauge(&self.metrics.degradation_mode, mode.as_gauge());
         self.pool
             .set_shed_on_limit(mode >= DegradationMode::Shedding);
         mode
@@ -655,8 +643,8 @@ impl AuditService {
     /// Handles one protocol request under its envelope: applies the
     /// request deadline (or the configured default), and replays the
     /// stored response for an id the service has already answered with a
-    /// final (non-retryable) outcome. Runs [`AuditService::begin`] and,
-    /// when that defers, [`AuditService::finish`] back to back.
+    /// final (non-retryable) outcome. Runs the request's two steps, `begin`
+    /// and, when that defers, `finish`, back to back.
     pub fn handle_with_meta(&self, request: &Request, meta: &RequestMeta) -> Response {
         match self.begin(request, meta) {
             Step::Done(response) => response,

@@ -171,7 +171,7 @@ impl SessionStore {
     /// sessions the log's recovery reconstructed. The log must have been
     /// opened with the same shard count; recovered users are re-hashed
     /// into their shards (user-to-shard placement is stable across
-    /// restarts and toolchains because [`SessionStore::shard_index`]
+    /// restarts and toolchains because `SessionStore::shard_index`
     /// uses an explicitly stable hash).
     pub fn durable(
         shards: usize,

@@ -556,14 +556,8 @@ impl DecisionPool {
                 waited,
                 None,
             );
-            // Feed the observed wait into the AIMD loop and export the
-            // resulting limit + EWMA as gauges.
-            let limit = shared.admission.observe_wait(waited);
-            Metrics::set_gauge(&shared.metrics.admission_limit, limit as u64);
-            Metrics::set_gauge(
-                &shared.metrics.admission_wait_ewma_micros,
-                shared.admission.estimated_wait_micros(),
-            );
+            // Feed the observed wait into the AIMD loop.
+            shared.admission.observe_wait(waited);
             // Isolate the computation: a solver panic must answer the
             // waiters and leave the worker serving (a logical respawn).
             let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {

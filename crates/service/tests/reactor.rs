@@ -1,7 +1,7 @@
 //! Integration suite for the event-driven TCP front-end: pipelining,
 //! out-of-order completion, per-connection backpressure, the two-clock
-//! timeout semantics (idle vs. started-frame), oversize refusals, the
-//! legacy threaded fallback, and a high-connection smoke.
+//! timeout semantics (idle vs. started-frame), oversize refusals, and a
+//! high-connection smoke.
 //!
 //! The smoke test scales with `EPI_SMOKE_CONNS` (default 256) so the CI
 //! matrix can push the same test to thousands of connections.
@@ -9,7 +9,7 @@
 use epi_audit::{PriorAssumption, Schema};
 use epi_json::{opt_field, Deserialize, Json, Serialize};
 use epi_service::{
-    AuditService, Client, ErrorCode, FaultHook, Request, RequestMeta, Response, Server, ServerMode,
+    AuditService, Client, ErrorCode, FaultHook, Request, RequestMeta, Response, Server,
     ServerOptions, ServiceConfig,
 };
 use std::io::{BufRead, BufReader, Read, Write};
@@ -209,7 +209,6 @@ fn dribbling_writers_hit_the_frame_deadline() {
         service(1),
         "127.0.0.1:0",
         ServerOptions {
-            read_timeout: Some(Duration::from_secs(10)),
             frame_timeout: Some(Duration::from_millis(300)),
             idle_timeout: Some(Duration::from_secs(10)),
             ..ServerOptions::default()
@@ -264,7 +263,6 @@ fn idle_connections_are_evicted() {
         service(1),
         "127.0.0.1:0",
         ServerOptions {
-            read_timeout: Some(Duration::from_secs(10)),
             idle_timeout: Some(Duration::from_millis(250)),
             frame_timeout: Some(Duration::from_secs(10)),
             ..ServerOptions::default()
@@ -335,33 +333,6 @@ fn oversize_frames_are_refused_and_closed() {
     server.shutdown();
 }
 
-/// The thread-per-connection fallback still serves — including
-/// pipelined batches, which it answers strictly in order.
-#[test]
-fn legacy_threaded_mode_still_serves() {
-    let server = Server::spawn_with(
-        service(2),
-        "127.0.0.1:0",
-        ServerOptions {
-            mode: ServerMode::Threaded,
-            ..ServerOptions::default()
-        },
-    )
-    .expect("bind");
-    assert_eq!(server.mode(), ServerMode::Threaded);
-
-    let mut client = Client::connect(server.addr()).expect("connect");
-    assert_eq!(client.call(&Request::Ping).expect("ping"), Response::Pong);
-    let responses = client
-        .pipeline(&[disclose("legacy", 1), Request::Ping])
-        .expect("pipeline over the threaded front-end");
-    assert!(matches!(responses[0], Response::Entry(_)));
-    assert_eq!(responses[1], Response::Pong);
-    let stats = client.stats().expect("stats");
-    assert!(stats.connections_accepted >= 1, "{stats:?}");
-    server.shutdown();
-}
-
 /// Graceful drain under pipelining: every request accepted before the
 /// drain began is answered with its real verdict, a frame arriving
 /// after it gets a `draining` refusal carrying its id, no reply is
@@ -372,10 +343,7 @@ fn graceful_drain_answers_in_flight_and_refuses_late_frames() {
     let server = Server::spawn_with(
         Arc::clone(&service),
         "127.0.0.1:0",
-        ServerOptions {
-            mode: ServerMode::Reactor,
-            ..ServerOptions::default()
-        },
+        ServerOptions::default(),
     )
     .expect("bind");
     let addr = server.addr();
@@ -602,7 +570,6 @@ fn reactor_answers_cheap_requests_while_the_handler_is_stalled() {
         Arc::clone(&service),
         "127.0.0.1:0",
         ServerOptions {
-            mode: ServerMode::Reactor,
             handler_threads: 1,
             ..ServerOptions::default()
         },

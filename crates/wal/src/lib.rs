@@ -18,7 +18,7 @@
 //!
 //! Layering, bottom to top:
 //!
-//! * [`crc32`] — CRC-32/IEEE with a compile-time table (`std` has no
+//! * [`crc32`](mod@crc32) — CRC-32/IEEE with a compile-time table (`std` has no
 //!   checksum and the build is offline).
 //! * [`frame`] — length-prefixed CRC-framed records and a reader that
 //!   classifies every way a frame can be bad.

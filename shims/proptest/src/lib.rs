@@ -3,8 +3,9 @@
 //!
 //! The build environment has no network access, so the real `proptest`
 //! crate cannot be vendored. This shim keeps the same source-level API —
-//! the [`proptest!`] macro, [`Strategy`] with `prop_map` /
-//! `prop_flat_map` / `prop_recursive` / `boxed`, [`collection::vec`], [`any`],
+//! the [`proptest!`] macro, [`Strategy`](strategy::Strategy) with `prop_map` /
+//! `prop_flat_map` / `prop_recursive` / `boxed`, [`collection::vec`],
+//! [`any`](strategy::any),
 //! [`prop_oneof!`], and the `prop_assert*` macros — backed by plain
 //! seeded random sampling:
 //!
@@ -262,7 +263,7 @@ pub mod collection {
         VecStrategy { element, size }
     }
 
-    /// See [`vec`].
+    /// See [`vec()`].
     pub struct VecStrategy<S> {
         element: S,
         size: usize,

@@ -140,8 +140,8 @@ fn worker_faults_preserve_liveness_and_byte_determinism() {
             Arc::clone(&service),
             "127.0.0.1:0",
             ServerOptions {
-                read_timeout: Some(Duration::from_secs(10)),
-                write_timeout: Some(Duration::from_secs(10)),
+                idle_timeout: Some(Duration::from_secs(10)),
+                frame_timeout: Some(Duration::from_secs(10)),
                 ..ServerOptions::default()
             },
         )
@@ -342,8 +342,8 @@ fn mangled_frames_never_kill_the_server() {
         "127.0.0.1:0",
         ServerOptions {
             // Short grace: torn-frame connections are reaped quickly.
-            read_timeout: Some(Duration::from_millis(500)),
-            write_timeout: Some(Duration::from_secs(5)),
+            idle_timeout: Some(Duration::from_millis(500)),
+            frame_timeout: Some(Duration::from_millis(500)),
             ..ServerOptions::default()
         },
     )
@@ -490,8 +490,6 @@ fn slow_clients_cannot_stall_other_connections() {
             Arc::clone(&service),
             "127.0.0.1:0",
             ServerOptions {
-                read_timeout: Some(Duration::from_secs(10)),
-                write_timeout: Some(Duration::from_secs(10)),
                 // A started frame must finish within 600 ms; half-frame
                 // stalls (2 s holds) cross it, dribbles stay inside.
                 frame_timeout: Some(Duration::from_millis(600)),
