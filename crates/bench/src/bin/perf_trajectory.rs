@@ -1,23 +1,28 @@
 //! Perf-trajectory harness for the solver engine: times the E8 (product
 //! solver), E12 (audit composition), E14 (parallel scaling), E15
-//! (incremental subdivision / zero-allocation hot path)
-//! E16 (disclosure throughput vs. durability policy), E17
-//! (concurrent-connection throughput of the reactor front-end), E18
-//! (goodput under an overload storm with adaptive admission), E19
-//! (O(1) exhausted-budget denial vs. the full solver path) and E20
-//! (SIMD microkernel ns/element sweep plus batched single-core wave
-//! throughput vs. the PR 5 recording) workloads against the recorded
-//! baselines and writes the results to `BENCH_PR10.json` alongside the
-//! human-readable tables, so future PRs can diff the numbers
+//! (incremental subdivision / zero-allocation hot path) and E20 (SIMD
+//! microkernel ns/element sweep plus batched single-core wave throughput
+//! vs. the `BENCH_PR5.json` recording) workloads against the recorded
+//! baselines and writes the results to a JSON file alongside the
+//! human-readable tables, so later changes can diff the numbers
 //! machine-readably.
 //!
-//! Run:  `cargo run --release --bin perf_trajectory [-- out.json [baseline.json]]`
+//! Run:  `cargo run --release --features simd --bin perf_trajectory -- out.json [baseline.json]`
+//!
+//! The output path is required (no arguments prints usage and exits 2):
+//! the committed `BENCH_PR10.json` holds the baselines `bench_gate`
+//! reads, so replacing it must be asked for by name. A build without
+//! `simd` records only the scalar gate baseline — its best ISA *is*
+//! scalar, and storing that under the `_simd` key would lower the simd
+//! gate's bar.
 //!
 //! The solver has one engine, so E8, E12 and E14 time it at several
 //! thread counts. The retired ablation arms — the pre-engine `legacy_seq`
 //! solver, E15's recompute-per-box path and E20's box-at-a-time path —
 //! stay recorded in `BENCH_PR2.json`, `BENCH_PR5.json` and
-//! `BENCH_PR10.json`. E15 compares the engine against the committed
+//! `BENCH_PR10.json`; the retired daemon experiments E16–E19 in
+//! `BENCH_PR6.json`–`BENCH_PR9.json` (the daemon's benchmark is
+//! `perfbench/`). E15 compares the engine against the committed
 //! `BENCH_PR2.json` numbers, reporting boxes/sec and — thanks to the
 //! counting global allocator this binary installs — allocations/box.
 //! When `available_parallelism` is 1 the thread-count sweep is flat; the
@@ -415,525 +420,6 @@ fn e15(baseline_path: &str) -> (Json, f64, Option<f64>) {
     (Json::arr(rows), aggregate_bps, aggregate_speedup)
 }
 
-/// E16 — disclosure throughput under the three durability policies of
-/// the write-ahead disclosure log. Every run gets a fresh data
-/// directory and a fresh daemon; snapshots are disabled so the rows
-/// isolate the append + fsync cost of the log itself (compaction is
-/// amortised and measured nowhere near the hot path). `volatile` is the
-/// pre-persistence daemon (no data dir), the baseline the fsync rows
-/// are charged against.
-fn e16() -> Json {
-    use epi_audit::workload::hospital_scenario;
-    use epi_audit::PriorAssumption;
-    use epi_service::{AuditService, FsyncPolicy, Request, Response, ServiceConfig};
-    use epi_wal::testdir::TempDir;
-    use std::time::Duration;
-
-    println!("\n## E16 — disclosure throughput vs durability policy\n");
-    let w = hospital_scenario();
-    let mut steps = Vec::new();
-    for r in 0..12u64 {
-        for (d, state) in w.log.entries_with_state() {
-            steps.push((
-                format!("r{r}:{}", d.user),
-                d.time,
-                d.query.display(w.log.schema()).to_string(),
-                state.mask(),
-            ));
-        }
-    }
-
-    let configs: Vec<(&str, Option<FsyncPolicy>)> = vec![
-        ("volatile", None),
-        (
-            "fsync_interval_100ms",
-            Some(FsyncPolicy::Interval(Duration::from_millis(100))),
-        ),
-        ("fsync_always", Some(FsyncPolicy::Always)),
-    ];
-    let mut rows = Vec::new();
-    let mut volatile_wall = f64::NAN;
-    for (tag, fsync) in configs {
-        let mut best = f64::INFINITY;
-        let mut appends = 0u64;
-        let mut fsyncs = 0u64;
-        for run in 0..5 {
-            let tmp = TempDir::new(&format!("e16-{tag}-{run}"));
-            let config = ServiceConfig {
-                assumption: PriorAssumption::Product,
-                workers: 2,
-                data_dir: fsync.as_ref().map(|_| tmp.path().to_path_buf()),
-                wal_fsync: fsync.unwrap_or(FsyncPolicy::Never),
-                wal_snapshot_every: 0,
-                ..ServiceConfig::default()
-            };
-            let svc = AuditService::open(w.schema.clone(), config).expect("open daemon");
-            let t = Instant::now();
-            for (user, time, query, mask) in &steps {
-                let resp = svc.handle(&Request::Disclose {
-                    user: user.clone(),
-                    time: *time,
-                    query: query.clone(),
-                    state_mask: *mask,
-                    audit_query: "hiv_pos".to_owned(),
-                });
-                assert!(
-                    matches!(resp, Response::Entry(_)),
-                    "e16 disclosure for {user} failed: {resp:?}"
-                );
-            }
-            best = best.min(t.elapsed().as_secs_f64() * 1e3);
-            let m = svc.metrics();
-            appends = m.wal_appends;
-            fsyncs = m.wal_fsyncs;
-        }
-        if tag == "volatile" {
-            volatile_wall = best;
-        }
-        let per_sec = steps.len() as f64 / (best / 1e3);
-        let slowdown = best / volatile_wall;
-        println!(
-            "{tag}: {best:.1}ms for {} disclosures ({per_sec:.0}/sec, {slowdown:.2}x vs volatile, \
-             {appends} appends, {fsyncs} fsyncs)",
-            steps.len()
-        );
-        rows.push(Json::obj([
-            ("policy", Json::from(tag)),
-            ("disclosures", Json::from(steps.len())),
-            ("wall_ms", Json::from(best)),
-            ("disclosures_per_sec", Json::from(per_sec)),
-            ("slowdown_vs_volatile", Json::from(slowdown)),
-            ("wal_appends", Json::from(appends)),
-            ("wal_fsyncs", Json::from(fsyncs)),
-        ]));
-    }
-    Json::arr(rows)
-}
-
-/// E17 — concurrent-connection throughput and per-connection memory
-/// of the readiness reactor at 64, 512 and 2048 open connections. Each
-/// run opens the fanout idle (the realistic shape of a large
-/// deployment: most connections quiet), then 8 driver clients push
-/// pipelined 16-deep disclose batches; the row reports aggregate
-/// decisions/sec, the heap bytes the fanout cost (cumulative-allocation
-/// delta over setup, divided by connections — an upper bound on
-/// per-connection state), and the open-connection gauge.
-fn e17() -> Json {
-    use epi_audit::{PriorAssumption, Schema};
-    use epi_service::{AuditService, Client, Request, Response, Server, ServiceConfig};
-    use std::net::{SocketAddr, TcpStream};
-    use std::sync::Arc;
-    use std::time::Duration;
-
-    const DRIVERS: usize = 8;
-    const BATCHES: usize = 6;
-    const BATCH: usize = 16;
-
-    fn drive(addr: SocketAddr, run: u64, batches: usize) {
-        let handles: Vec<_> = (0..DRIVERS)
-            .map(|d| {
-                std::thread::spawn(move || {
-                    let mut client = Client::connect(addr).expect("driver connect");
-                    for b in 0..batches {
-                        let requests: Vec<Request> = (0..BATCH)
-                            .map(|k| Request::Disclose {
-                                user: format!("r{run}d{d}u{k}"),
-                                time: (b + 1) as u64,
-                                query: "hiv_pos".to_owned(),
-                                state_mask: ((b + k) % 3 + 1) as u32,
-                                audit_query: "hiv_pos".to_owned(),
-                            })
-                            .collect();
-                        for response in client.pipeline(&requests).expect("pipeline") {
-                            assert!(
-                                matches!(response, Response::Entry(_)),
-                                "e17 disclose failed: {response:?}"
-                            );
-                        }
-                    }
-                })
-            })
-            .collect();
-        for handle in handles {
-            handle.join().expect("driver thread");
-        }
-    }
-
-    println!("\n## E17 — concurrent-connection throughput of the reactor\n");
-    let schema = Schema::from_names(&["hiv_pos", "transfusions", "flu", "diabetes"]).unwrap();
-    let mut rows = Vec::new();
-    let mut run = 0u64;
-    for conns in [64usize, 512, 2048] {
-        run += 1;
-        let service = Arc::new(AuditService::new(
-            schema.clone(),
-            ServiceConfig {
-                assumption: PriorAssumption::Product,
-                workers: 2,
-                ..ServiceConfig::default()
-            },
-        ));
-        let server = Server::spawn(Arc::clone(&service), "127.0.0.1:0").expect("bind");
-        let addr = server.addr();
-
-        let bytes_before = epi_par::heap_bytes_allocated();
-        let idle: Vec<TcpStream> = (0..conns)
-            .map(|_| TcpStream::connect(addr).expect("fanout connect"))
-            .collect();
-        // Let the server finish adopting the fanout before sampling
-        // the allocation counter, so setup cost is fully included.
-        std::thread::sleep(Duration::from_millis(100 + conns as u64 / 8));
-        let bytes_per_conn = (epi_par::heap_bytes_allocated() - bytes_before) as f64 / conns as f64;
-        let mut probe = Client::connect(addr).expect("probe connect");
-        let open = probe.stats().expect("stats").connections_open;
-        assert!(
-            open as usize > conns,
-            "reactor@{conns}: gauge reads {open} with the fanout open"
-        );
-
-        drive(addr, run, 1); // warm caches, sessions, driver paths
-        run += 1;
-        let t = Instant::now();
-        drive(addr, run, BATCHES);
-        let wall = t.elapsed().as_secs_f64();
-        let decisions = DRIVERS * BATCHES * BATCH;
-        let dps = decisions as f64 / wall;
-        println!(
-            "reactor@{conns}: {decisions} decisions in {:.1}ms ({dps:.0}/sec), \
-             {bytes_per_conn:.0} heap bytes/conn, gauge={open}",
-            wall * 1e3
-        );
-        rows.push(Json::obj([
-            ("mode", Json::from("reactor")),
-            ("connections", Json::from(conns)),
-            ("decisions", Json::from(decisions)),
-            ("wall_ms", Json::from(wall * 1e3)),
-            ("decisions_per_sec", Json::from(dps)),
-            ("heap_bytes_per_conn", Json::from(bytes_per_conn)),
-            ("connections_open_gauge", Json::from(open)),
-        ]));
-        drop(idle);
-        drop(probe);
-        server.shutdown();
-    }
-    Json::obj([("rows", Json::arr(rows))])
-}
-
-fn e18() -> Json {
-    use epi_audit::{PriorAssumption, Schema};
-    use epi_faults::StormPlan;
-    use epi_json::Serialize;
-    use epi_service::{
-        AdmissionOptions, AuditService, Client, ClientError, FaultHook, LocalClient, Request,
-        Response, RetryPolicy, Server, ServiceConfig,
-    };
-    use std::sync::Arc;
-    use std::time::Duration;
-
-    const ATOMS: [&str; 8] = [
-        "hiv_pos",
-        "transfusions",
-        "flu",
-        "diabetes",
-        "asthma",
-        "anemia",
-        "gout",
-        "measles",
-    ];
-    const TOTAL: u64 = 240;
-    const SEED: u64 = 0xBEE5;
-    const DECISION_COST: Duration = Duration::from_millis(3);
-
-    fn mix(i: u64, salt: u64) -> u64 {
-        let mut z =
-            SEED ^ i.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ salt.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    // The same seeded storm shape the overload chaos suite replays:
-    // skewed users, compound queries, every mask holding the audited
-    // property so no request is excused by the negative-result gate.
-    fn request(plan: &StormPlan, i: u64) -> Request {
-        let a = ATOMS[mix(i, 1) as usize % ATOMS.len()];
-        let b = ATOMS[mix(i, 2) as usize % ATOMS.len()];
-        let op = if mix(i, 3).is_multiple_of(2) {
-            '&'
-        } else {
-            '|'
-        };
-        Request::Disclose {
-            user: format!("u{}", plan.user(i)),
-            time: i + 1,
-            query: if a == b {
-                a.to_owned()
-            } else {
-                format!("{a} {op} {b}")
-            },
-            state_mask: plan.state_mask(i, 8) | 1,
-            audit_query: "hiv_pos".to_owned(),
-        }
-    }
-
-    fn service() -> Arc<AuditService> {
-        let hook: FaultHook = Arc::new(|_key| std::thread::sleep(DECISION_COST));
-        Arc::new(AuditService::with_fault_hook(
-            Schema::from_names(&ATOMS).unwrap(),
-            ServiceConfig {
-                assumption: PriorAssumption::Product,
-                workers: 2,
-                retry_after_ms: 5,
-                admission: AdmissionOptions {
-                    target_wait_micros: 2_000,
-                    min_limit: 2,
-                    max_limit: 8,
-                    ..AdmissionOptions::default()
-                },
-                ..ServiceConfig::default()
-            },
-            Some(hook),
-        ))
-    }
-
-    println!("\n## E18 — goodput under a 4x-capacity request storm\n");
-    let plan = StormPlan::new(SEED);
-
-    // Unloaded reference: every request in order against an idle twin.
-    let mut sequential = LocalClient::new(service());
-    let t = Instant::now();
-    let baseline: Vec<String> = (0..TOTAL)
-        .map(|i| match sequential.call(&request(&plan, i)) {
-            Ok(Response::Entry(entry)) => entry.to_json().render(),
-            other => panic!("e18 baseline request {i} got {other:?}"),
-        })
-        .collect();
-    let baseline_wall = t.elapsed().as_secs_f64();
-
-    let storm_service = service();
-    let server = Server::spawn(Arc::clone(&storm_service), "127.0.0.1:0").expect("bind");
-    let addr = server.addr();
-    let t = Instant::now();
-    let handles: Vec<_> = (0..plan.users)
-        .map(|user_id| {
-            let work: Vec<u64> = (0..TOTAL).filter(|&i| plan.user(i) == user_id).collect();
-            std::thread::spawn(move || {
-                let mut client =
-                    Client::connect(addr)
-                        .expect("storm connect")
-                        .with_retry(RetryPolicy {
-                            max_attempts: 8,
-                            base_ms: 1,
-                            cap_ms: 10,
-                            seed: SEED ^ ((user_id + 1) << 32),
-                        });
-                let plan = StormPlan::new(SEED);
-                let mut landed: Vec<(u64, String)> = Vec::new();
-                for i in work {
-                    match client.call(&request(&plan, i)) {
-                        Ok(Response::Entry(entry)) => {
-                            landed.push((i, entry.to_json().render()));
-                        }
-                        Ok(other) => panic!("e18 storm request {i} got {other:?}"),
-                        Err(ClientError::Remote { .. }) => {}
-                        Err(e) => panic!("e18 transport failure: {e}"),
-                    }
-                }
-                landed
-            })
-        })
-        .collect();
-    let mut landed = 0u64;
-    let mut divergent = 0u64;
-    for handle in handles {
-        for (i, bytes) in handle.join().expect("storm driver") {
-            landed += 1;
-            if bytes != baseline[i as usize] {
-                divergent += 1;
-            }
-        }
-    }
-    let storm_wall = t.elapsed().as_secs_f64();
-    let stats = storm_service.metrics();
-    server.shutdown();
-
-    let goodput = landed as f64 / TOTAL as f64;
-    println!(
-        "storm: {landed}/{TOTAL} landed ({:.0}% goodput) in {:.0}ms \
-         (baseline {:.0}ms), {divergent} divergent verdicts",
-        goodput * 100.0,
-        storm_wall * 1e3,
-        baseline_wall * 1e3
-    );
-    println!(
-        "rejects: limit={} degraded={} fairness={} deadline={} (requests={} for {TOTAL} disclosures)",
-        stats.admission_rejects_limit,
-        stats.admission_rejects_degraded,
-        stats.admission_rejects_fairness,
-        stats.admission_rejects_deadline,
-        stats.requests
-    );
-    Json::obj([
-        ("seed", Json::from(SEED)),
-        ("total", Json::from(TOTAL)),
-        ("landed", Json::from(landed)),
-        ("goodput", Json::from(goodput)),
-        ("divergent_verdicts", Json::from(divergent)),
-        ("storm_wall_ms", Json::from(storm_wall * 1e3)),
-        ("baseline_wall_ms", Json::from(baseline_wall * 1e3)),
-        ("requests_with_retries", Json::from(stats.requests)),
-        ("rejects_limit", Json::from(stats.admission_rejects_limit)),
-        (
-            "rejects_degraded",
-            Json::from(stats.admission_rejects_degraded),
-        ),
-        (
-            "meets_acceptance",
-            Json::from(goodput >= 0.7 && divergent == 0),
-        ),
-    ])
-}
-
-fn e19() -> Json {
-    use epi_audit::{PriorAssumption, Schema};
-    use epi_service::{
-        AuditService, BudgetOptions, ErrorCode, LocalClient, Request, Response, ServiceConfig,
-    };
-    use std::sync::Arc;
-
-    const ATOMS: [&str; 8] = [
-        "hiv_pos",
-        "transfusions",
-        "flu",
-        "diabetes",
-        "asthma",
-        "anemia",
-        "gout",
-        "measles",
-    ];
-    const FULL_SOLVES: u64 = 64;
-    const DENIALS: u64 = 20_000;
-
-    println!("\n## E19 — O(1) exhausted-user denial vs the full solver path\n");
-
-    let service = Arc::new(AuditService::new(
-        Schema::from_names(&ATOMS).unwrap(),
-        ServiceConfig {
-            assumption: PriorAssumption::Product,
-            workers: 2,
-            budget: BudgetOptions {
-                cap_micros: 2_000_000,
-                ..BudgetOptions::default()
-            },
-            ..ServiceConfig::default()
-        },
-    ));
-    let mut client = LocalClient::new(Arc::clone(&service));
-
-    // Full-solve reference: one fresh user per request and 64 distinct
-    // `a & b` formulas (the diagonal collapses to the single atom), so
-    // every disclosure misses the verdict cache and walks the whole
-    // pipeline — compile, solve, certify, ledger fold.
-    let decide_before = service.metrics().decide_requests;
-    let t = Instant::now();
-    for i in 0..FULL_SOLVES {
-        let (a, b) = (ATOMS[(i % 8) as usize], ATOMS[(i / 8) as usize]);
-        let request = Request::Disclose {
-            user: format!("s{i}"),
-            time: i + 1,
-            query: if a == b {
-                a.to_owned()
-            } else {
-                format!("{a} & {b}")
-            },
-            state_mask: 0xFF,
-            audit_query: "hiv_pos".to_owned(),
-        };
-        match client.call(&request) {
-            Ok(Response::Entry(_)) => {}
-            other => panic!("e19 full-solve request {i} got {other:?}"),
-        }
-    }
-    let full_wall = t.elapsed().as_secs_f64();
-    let full_solves = service.metrics().decide_requests - decide_before;
-    assert_eq!(
-        full_solves, FULL_SOLVES,
-        "every reference request must reach the solver"
-    );
-
-    // Exhaust one user: two direct hits at risk 1.0 each spend the whole
-    // 2.0 cap, putting the user on the deny threshold.
-    for t in 1..=2 {
-        let request = Request::Disclose {
-            user: "mallory".to_owned(),
-            time: t,
-            query: "hiv_pos".to_owned(),
-            state_mask: 0xFF,
-            audit_query: "hiv_pos".to_owned(),
-        };
-        match client.call(&request) {
-            Ok(Response::Entry(_)) => {}
-            other => panic!("e19 exhaustion disclosure {t} got {other:?}"),
-        }
-    }
-
-    // Denial phase: every further request from the exhausted user must
-    // be refused in O(1) — a session read and a threshold compare —
-    // before the solver queue, so `decide_requests` stays flat.
-    let decide_before = service.metrics().decide_requests;
-    let denial = Request::Disclose {
-        user: "mallory".to_owned(),
-        time: 3,
-        query: "hiv_pos | transfusions".to_owned(),
-        state_mask: 0xFF,
-        audit_query: "hiv_pos".to_owned(),
-    };
-    let t = Instant::now();
-    for i in 0..DENIALS {
-        match client.call(&denial) {
-            Ok(Response::Error {
-                code: ErrorCode::BudgetExhausted,
-                ..
-            }) => {}
-            other => panic!("e19 denial {i} got {other:?}"),
-        }
-    }
-    let denial_wall = t.elapsed().as_secs_f64();
-    let stats = service.metrics();
-    let decide_flat = stats.decide_requests == decide_before;
-
-    let full_per_sec = full_solves as f64 / full_wall;
-    let denials_per_sec = DENIALS as f64 / denial_wall;
-    let speedup = denials_per_sec / full_per_sec;
-    println!(
-        "full solver path: {full_solves} disclosures in {:.1}ms ({full_per_sec:.0}/s)",
-        full_wall * 1e3
-    );
-    println!(
-        "exhausted-user denials: {DENIALS} in {:.1}ms ({denials_per_sec:.0}/s), \
-         {speedup:.0}x the full path, decide_requests flat: {decide_flat}",
-        denial_wall * 1e3
-    );
-    assert_eq!(
-        stats.budget_exhausted_denials, DENIALS,
-        "every denial must be counted"
-    );
-    Json::obj([
-        ("full_solves", Json::from(full_solves)),
-        ("full_wall_ms", Json::from(full_wall * 1e3)),
-        ("full_solves_per_sec", Json::from(full_per_sec)),
-        ("denials", Json::from(DENIALS)),
-        ("denial_wall_ms", Json::from(denial_wall * 1e3)),
-        ("denials_per_sec", Json::from(denials_per_sec)),
-        ("fast_path_speedup", Json::from(speedup)),
-        ("decide_requests_flat", Json::from(decide_flat)),
-        (
-            "meets_acceptance",
-            Json::from(decide_flat && speedup >= 1.0),
-        ),
-    ])
-}
-
 /// Safety-gap Bernstein tensor of a random pair over `{0,1}ⁿ` — the same
 /// construction the `e20_kernels` criterion bench uses, so the ns/elem
 /// rows here and there measure the same data shape.
@@ -1138,12 +624,12 @@ fn e20(pr5_path: &str) -> (Json, f64, f64) {
 }
 
 fn main() {
-    let out_path = std::env::args()
-        .nth(1)
-        .unwrap_or_else(|| "BENCH_PR10.json".to_string());
-    let baseline_path = std::env::args()
-        .nth(2)
-        .unwrap_or_else(|| "BENCH_PR2.json".to_string());
+    let mut args = std::env::args().skip(1);
+    let Some(out_path) = args.next() else {
+        eprintln!("usage: perf_trajectory OUT.json [BASELINE.json]  (baseline: BENCH_PR2.json)");
+        std::process::exit(2);
+    };
+    let baseline_path = args.next().unwrap_or_else(|| "BENCH_PR2.json".to_string());
     let cores = std::thread::available_parallelism().map_or(0, usize::from);
     println!("# Perf trajectory — PR 10 SIMD microkernels and batched wave sweeps");
     println!("available_parallelism={cores}");
@@ -1168,10 +654,6 @@ fn main() {
     let e12_json = e12();
     let (e14_json, aggregate) = e14();
     let (e15_json, e15_bps, e15_speedup) = e15(&baseline_path);
-    let e16_json = e16();
-    let e17_json = e17();
-    let e18_json = e18();
-    let e19_json = e19();
     let (e20_json, gate_scalar_bps, gate_simd_bps) = e20("BENCH_PR5.json");
 
     let mut fields = vec![
@@ -1191,26 +673,13 @@ fn main() {
                  subdivision engine against the committed BENCH_PR2.json dense_1t \
                  numbers. On a single-core container the thread sweep is flat; allocs/box is \
                  measured by the counting global allocator over a warm (second) solve. \
-                 E16 measures end-to-end disclosure throughput with the write-ahead \
-                 disclosure log off (volatile), group-committed every 100ms, and \
-                 fsynced on every acknowledgement; fsync cost is storage-dependent, \
-                 so read the slowdown ratios, not the absolute numbers. E17 measures \
-                 the TCP front-end: aggregate pipelined-disclose throughput and heap \
-                 bytes per connection for the readiness reactor at a \
-                 64/512/2048-connection fanout. \
-                 E18 storms a daemon whose per-decision cost is pinned at 3ms with \
-                 ~4x its capacity and reports goodput (acknowledged / offered) under \
-                 AIMD admission control plus per-reason rejects; every acknowledged \
-                 verdict is checked byte-identical to an unloaded sequential replay. \
-                 E19 compares the O(1) exhausted-user refusal (a session read and a \
-                 threshold compare, before the solver queue) against full cache-miss \
-                 solves on the same daemon; decide_requests must stay flat across \
-                 the denial phase. E20 sweeps the four Bernstein microkernels \
+                 E20 sweeps the four Bernstein microkernels \
                  (ns/element, scalar vs every ISA the build and CPU provide) and \
                  measures single-core batched-wave throughput on the adversarial \
                  family against the committed BENCH_PR5.json aggregate; the bench_gate_baseline fields are the \
                  per-core boxes/sec the CI gate compares against, one per feature \
-                 configuration (threads=1, so per-core equals aggregate)",
+                 configuration, the simd one recorded only by a simd build \
+                 (threads=1, so per-core equals aggregate)",
             ),
         ),
         ("e8", e8_json),
@@ -1219,20 +688,18 @@ fn main() {
         ("e14_aggregate_speedup_8t_vs_1t", Json::from(aggregate)),
         ("e15", e15_json),
         ("e15_aggregate_boxes_per_sec_1t", Json::from(e15_bps)),
-        ("e16", e16_json),
-        ("e17", e17_json),
-        ("e18", e18_json),
-        ("e19", e19_json),
         ("e20", e20_json),
         (
             "bench_gate_baseline_boxes_per_sec_per_core_scalar",
             Json::from(gate_scalar_bps),
         ),
-        (
+    ];
+    if cfg!(feature = "simd") {
+        fields.push((
             "bench_gate_baseline_boxes_per_sec_per_core_simd",
             Json::from(gate_simd_bps),
-        ),
-    ];
+        ));
+    }
     if let Some(s) = e15_speedup {
         fields.push(("e15_aggregate_speedup_vs_pr2", Json::from(s)));
     }

@@ -10,13 +10,9 @@
 
 use crate::stats;
 
-/// Environment variable overriding the minimum wave size that fans out.
-pub const MIN_WAVE_ENV: &str = "EPI_PAR_MIN_WAVE";
-
 /// Decides, wave by wave, whether a frontier is big enough to justify
-/// spawning workers. Resolved once per search from an explicit option,
-/// the `EPI_PAR_MIN_WAVE` environment variable, or a machine-derived
-/// default — in that order.
+/// spawning workers. Resolved once per search from the machine's core
+/// count and the pool's worker count.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ChunkPolicy {
     /// Waves with fewer items than this run inline on the caller.
@@ -24,27 +20,11 @@ pub struct ChunkPolicy {
 }
 
 impl ChunkPolicy {
-    /// Resolve the policy. `explicit` (from solver options) wins when
-    /// non-zero; then a positive `EPI_PAR_MIN_WAVE`; otherwise the
-    /// default: `usize::MAX` (never fan out) when the machine reports a
-    /// single core — spawning cannot win there, only lose the E14 way —
-    /// and `max(32, 4·threads)` otherwise, enough items to amortize one
-    /// round of thread spawns.
-    pub fn resolve(explicit: usize, threads: usize) -> ChunkPolicy {
-        if explicit > 0 {
-            return ChunkPolicy {
-                min_parallel_items: explicit,
-            };
-        }
-        if let Ok(raw) = std::env::var(MIN_WAVE_ENV) {
-            if let Ok(k) = raw.trim().parse::<usize>() {
-                if k >= 1 {
-                    return ChunkPolicy {
-                        min_parallel_items: k,
-                    };
-                }
-            }
-        }
+    /// Resolve the policy: `usize::MAX` (never fan out) when the machine
+    /// reports a single core — spawning cannot win there, only lose the
+    /// E14 way — and `max(32, 4·threads)` otherwise, enough items to
+    /// amortize one round of thread spawns.
+    pub fn resolve(threads: usize) -> ChunkPolicy {
         let machine = std::thread::available_parallelism()
             .map(|p| p.get())
             .unwrap_or(1);
@@ -71,16 +51,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn explicit_threshold_wins() {
-        let p = ChunkPolicy::resolve(7, 8);
-        assert_eq!(p.min_parallel_items, 7);
-        assert!(p.should_parallelize(7, 8));
-        assert!(!p.should_parallelize(6, 8));
-    }
-
-    #[test]
     fn one_worker_never_fans_out() {
-        let p = ChunkPolicy::resolve(1, 1);
+        let p = ChunkPolicy::resolve(1);
         assert!(!p.should_parallelize(usize::MAX, 1));
     }
 
@@ -89,8 +61,8 @@ mod tests {
         let machine = std::thread::available_parallelism()
             .map(|p| p.get())
             .unwrap_or(1);
-        let p = ChunkPolicy::resolve(0, 8);
-        if machine <= 1 && std::env::var(MIN_WAVE_ENV).is_err() {
+        let p = ChunkPolicy::resolve(8);
+        if machine <= 1 {
             assert_eq!(p.min_parallel_items, usize::MAX);
         } else {
             assert!(p.min_parallel_items >= 1);

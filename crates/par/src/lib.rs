@@ -12,8 +12,7 @@
 //! Around them, two allocation-discipline helpers: [`BufferPool`] and
 //! the thread-local scratch shelf ([`take_scratch_f64`]) recycle the
 //! hot-path buffers of the box search, and [`ChunkPolicy`] decides when
-//! a frontier wave is big enough to be worth fanning out at all
-//! (`EPI_PAR_MIN_WAVE`).
+//! a frontier wave is big enough to be worth fanning out at all.
 //!
 //! Worker counts resolve, in order: an explicit count passed to
 //! [`Pool::new`], the `EPI_PAR_THREADS` environment variable, and
@@ -49,7 +48,7 @@ pub use arena::{
     give_scratch_f64, heap_allocations, heap_bytes_allocated, record_heap_alloc, take_scratch_f64,
     BufferPool,
 };
-pub use chunk::{ChunkPolicy, MIN_WAVE_ENV};
+pub use chunk::ChunkPolicy;
 pub use epi_core::{CancelToken, Deadline, StopReason};
 pub use stats::{record_batch_sweep, record_soa_staged_bytes, stats, StatsSnapshot};
 

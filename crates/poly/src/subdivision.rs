@@ -51,8 +51,8 @@
 //! instead of making one full-width pass per stage, and the split-axis
 //! scan computes every in-tile axis in a single pass over the tensor
 //! (`1 + (n − t)` passes instead of `n` for tile exponent `t`). Tile
-//! sizes come from a small compile-time table ([`auto_tile`]); callers
-//! can override per solve (`ProductSolverOptions::kernel_block`).
+//! sizes come from a small compile-time table ([`auto_tile`]); the
+//! `*_tiled` variants take an explicit tile length instead.
 //! Tiling never changes results: tile boundaries only re-order the
 //! order-free reductions above.
 //!
@@ -196,8 +196,7 @@ const TILE_TABLE: &[(usize, usize)] = &[(531_441, 2_187), (59_049, 6_561)];
 
 /// The tile length the compile-time table picks for a tensor of `len`
 /// elements; `0` means untiled. Override per call via the `*_tiled`
-/// kernel variants (the solver exposes this as
-/// `ProductSolverOptions::kernel_block`).
+/// kernel variants.
 pub fn auto_tile(len: usize) -> usize {
     for &(at_least, tile) in TILE_TABLE {
         if len >= at_least {

@@ -11,13 +11,16 @@
 //! find  X ⪰ 0   with   ⟨A_k, X⟩ = b_k   (k = 1 … m)
 //! ```
 //!
-//! via alternating projections between the affine subspace
+//! by Douglas–Rachford splitting between the affine subspace
 //! `L = {X : ⟨A_k, X⟩ = b_k}` (a linear least-squares step) and the PSD
-//! cone (an eigendecomposition clamp), optionally with Dykstra's
-//! correction, which converges to a point of the intersection whenever one
-//! exists. For the Gram-matrix SDPs produced by `epi-sos` (dozens of rows,
-//! highly structured constraints) this simple method is robust and fast,
-//! and — unlike an interior-point code — trivially auditable.
+//! cone (an eigendecomposition clamp): reflect through one set, reflect
+//! through the other, average. It converges linearly on most instances,
+//! including the degenerate low-dimensional-face solutions produced by SOS
+//! programs, where plain alternating projections crawl sublinearly. For
+//! the Gram-matrix SDPs produced by `epi-sos` (dozens of rows, highly
+//! structured constraints) this simple method is robust and fast, and —
+//! unlike an interior-point code — trivially auditable. A plateauing
+//! residual stops the run early as cheap infeasibility evidence.
 //!
 //! A returned [`SdpStatus::Feasible`] witness is *post-verified*: the
 //! residuals reported alongside it are recomputed from scratch, so callers
@@ -104,22 +107,6 @@ pub enum SdpStatus {
     NumericalFailure(LinalgError),
 }
 
-/// The projection scheme used by [`solve_feasibility`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ProjectionMethod {
-    /// Douglas–Rachford splitting (default): reflect–reflect–average.
-    /// Converges linearly on most instances, including the degenerate
-    /// low-dimensional-face solutions produced by SOS programs, where plain
-    /// alternating projections crawl sublinearly.
-    DouglasRachford,
-    /// Plain alternating projections (POCS) — ablation baseline.
-    Alternating,
-    /// Alternating projections with Dykstra's correction — ablation
-    /// baseline (converges to the *projection* of the start, at POCS-like
-    /// rates).
-    Dykstra,
-}
-
 /// Options for [`solve_feasibility`].
 #[derive(Clone, Copy, Debug)]
 pub struct SdpOptions {
@@ -127,12 +114,6 @@ pub struct SdpOptions {
     pub max_iterations: usize,
     /// Acceptance threshold on the constraint residual of a PSD iterate.
     pub tolerance: f64,
-    /// The projection scheme.
-    pub method: ProjectionMethod,
-    /// Give up early when the residual plateaus (cheap infeasibility
-    /// detection). Disable to spend the whole iteration budget on
-    /// slowly-converging degenerate instances.
-    pub stall_detection: bool,
 }
 
 impl Default for SdpOptions {
@@ -140,8 +121,6 @@ impl Default for SdpOptions {
         SdpOptions {
             max_iterations: 6000,
             tolerance: 1e-7,
-            method: ProjectionMethod::DouglasRachford,
-            stall_detection: true,
         }
     }
 }
@@ -198,53 +177,28 @@ impl<'a> AffineProjector<'a> {
     }
 }
 
-/// Solves the feasibility problem by the configured projection scheme,
-/// starting from the identity.
+/// Solves the feasibility problem by Douglas–Rachford splitting, starting
+/// from the identity.
 pub fn solve_feasibility(problem: &SdpProblem, options: SdpOptions) -> SdpStatus {
     let projector = AffineProjector::new(problem);
-    let n = problem.dim();
-    let mut x = Matrix::identity(n);
-    // Dykstra correction memory for the PSD projection.
-    let mut correction = Matrix::zeros(n, n);
+    let mut x = Matrix::identity(problem.dim());
     let mut best_residual = f64::INFINITY;
     for iter in 0..options.max_iterations {
-        // One step of the chosen scheme produces a PSD candidate `z`.
-        let z = match options.method {
-            ProjectionMethod::DouglasRachford => {
-                // y ← y + P_psd(2·P_aff(y) − y) − P_aff(y); candidate is
-                // the PSD projection of the affine point.
-                let pa = match projector.project(&x) {
-                    Ok(y) => y,
-                    Err(e) => return SdpStatus::NumericalFailure(e),
-                };
-                let reflected = &pa.scale(2.0) - &x;
-                let pb = match project_psd(&reflected) {
-                    Ok(z) => z,
-                    Err(e) => return SdpStatus::NumericalFailure(e),
-                };
-                x = &(&x + &pb) - &pa;
-                match project_psd(&pa) {
-                    Ok(z) => z,
-                    Err(e) => return SdpStatus::NumericalFailure(e),
-                }
-            }
-            ProjectionMethod::Alternating | ProjectionMethod::Dykstra => {
-                let dykstra = options.method == ProjectionMethod::Dykstra;
-                let y = match projector.project(&x) {
-                    Ok(y) => y,
-                    Err(e) => return SdpStatus::NumericalFailure(e),
-                };
-                let pre = if dykstra { &y + &correction } else { y.clone() };
-                let z = match project_psd(&pre) {
-                    Ok(z) => z,
-                    Err(e) => return SdpStatus::NumericalFailure(e),
-                };
-                if dykstra {
-                    correction = &pre - &z;
-                }
-                x = z.clone();
-                z
-            }
+        // y ← y + P_psd(2·P_aff(y) − y) − P_aff(y); the PSD candidate `z`
+        // is the PSD projection of the affine point.
+        let pa = match projector.project(&x) {
+            Ok(y) => y,
+            Err(e) => return SdpStatus::NumericalFailure(e),
+        };
+        let reflected = &pa.scale(2.0) - &x;
+        let pb = match project_psd(&reflected) {
+            Ok(z) => z,
+            Err(e) => return SdpStatus::NumericalFailure(e),
+        };
+        x = &(&x + &pb) - &pa;
+        let z = match project_psd(&pa) {
+            Ok(z) => z,
+            Err(e) => return SdpStatus::NumericalFailure(e),
         };
         let residual = problem.residual(&z);
         best_residual = best_residual.min(residual);
@@ -256,8 +210,7 @@ pub fn solve_feasibility(problem: &SdpProblem, options: SdpOptions) -> SdpStatus
         }
         // Cheap stall detection: if the residual is not improving late in
         // the run, stop early.
-        if options.stall_detection
-            && iter > 500
+        if iter > 500
             && iter % 250 == 0
             && residual > 0.999 * best_residual
             && residual > 1e4 * options.tolerance
@@ -379,33 +332,6 @@ mod tests {
                 assert!(is_psd(&x, 1e-8));
             }
             other => panic!("expected feasible, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn all_methods_agree_on_feasibility() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(167);
-        for _ in 0..5 {
-            let n = 4;
-            let x0 = random_psd(n, &mut rng);
-            let mut problem = SdpProblem::new(n);
-            for _ in 0..4 {
-                let mut a = Matrix::from_fn(n, n, |_, _| rng.gen_range(-1.0..1.0));
-                a.symmetrize();
-                let b = a.frobenius_dot(&x0);
-                problem.add_constraint(a, b);
-            }
-            for method in [
-                ProjectionMethod::DouglasRachford,
-                ProjectionMethod::Alternating,
-                ProjectionMethod::Dykstra,
-            ] {
-                let opts = SdpOptions {
-                    method,
-                    ..Default::default()
-                };
-                assert!(is_feasible(&problem, opts, 1e-7), "method {method:?}");
-            }
         }
     }
 

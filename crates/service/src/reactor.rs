@@ -75,6 +75,9 @@ const TOKEN_LISTENER: u64 = 0;
 const TOKEN_WAKE: u64 = 1;
 const FIRST_CONN_TOKEN: u64 = 2;
 const READ_CHUNK: usize = 16 * 1024;
+/// Bound on the reactor→handler dispatch queue; when full, connections
+/// stop being read (backpressure) instead of buffering without limit.
+const DISPATCH_CAPACITY: usize = 128;
 
 fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
@@ -985,7 +988,7 @@ impl ReactorServer {
         let drain_deadline = Arc::new(Mutex::new(None));
         let drain_forced = Arc::new(AtomicBool::new(false));
         let open_count = Arc::new(AtomicUsize::new(0));
-        let dispatch = Arc::new(Dispatch::new(options.dispatch_capacity.max(1)));
+        let dispatch = Arc::new(Dispatch::new(DISPATCH_CAPACITY));
         let metrics = service.metrics_registry();
 
         let mut shareds = Vec::with_capacity(threads);

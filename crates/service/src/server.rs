@@ -62,10 +62,6 @@ pub struct ServerOptions {
     /// blocking (they block on the decision pool's gate or a WAL fsync,
     /// so this bounds in-flight blocking work).
     pub handler_threads: usize,
-    /// Bound on the reactor→handler dispatch queue; when full,
-    /// connections stop being read (backpressure) instead of buffering
-    /// without limit.
-    pub dispatch_capacity: usize,
     /// Per-connection cap on pipelined requests in flight; further
     /// frames wait (unread or undispatched) until replies drain.
     pub max_inflight_per_conn: usize,
@@ -94,7 +90,6 @@ impl Default for ServerOptions {
             max_line_bytes: 1 << 20,
             reactor_threads: 0,
             handler_threads: 8,
-            dispatch_capacity: 128,
             max_inflight_per_conn: 32,
             write_high_water: 256 << 10,
             write_overflow: 8 << 20,

@@ -279,9 +279,11 @@ impl BudgetOptions {
         self.cap_micros > 0
     }
 
-    /// The effective warn threshold.
+    /// The effective warn threshold: `warn_micros`, else `⌊0.8·cap⌋`
+    /// (split by tens so the product cannot overflow).
     pub fn warn_threshold(&self) -> u64 {
-        self.warn_micros.unwrap_or(self.cap_micros / 10 * 8)
+        let cap = self.cap_micros;
+        self.warn_micros.unwrap_or(cap / 10 * 8 + cap % 10 * 8 / 10)
     }
 
     /// The effective deny threshold.
@@ -1267,6 +1269,21 @@ mod tests {
             state_mask,
             audit_query: "hiv_pos".to_owned(),
         }
+    }
+
+    #[test]
+    fn default_warn_threshold_is_eighty_percent_of_the_cap() {
+        let warn_at = |cap_micros| {
+            BudgetOptions {
+                cap_micros,
+                ..BudgetOptions::default()
+            }
+            .warn_threshold()
+        };
+        assert_eq!(warn_at(9), 7);
+        assert_eq!(warn_at(15), 12);
+        assert_eq!(warn_at(1_000_000), 800_000);
+        assert_eq!(warn_at(u64::MAX), 14_757_395_258_967_641_292);
     }
 
     #[test]

@@ -250,35 +250,6 @@ impl DecisionPool {
         policy: QueuePolicy,
         fault_hook: Option<FaultHook>,
     ) -> DecisionPool {
-        Self::with_policy_traced(
-            workers,
-            queue_capacity,
-            cache_capacity,
-            auditor,
-            cube,
-            metrics,
-            policy,
-            fault_hook,
-            Arc::new(Recorder::disabled()),
-        )
-    }
-
-    /// [`DecisionPool::with_policy`] sharing a span [`Recorder`] with the
-    /// embedder: the pool then emits `cache.lookup`, `dedupe.coalesced`,
-    /// `queue.wait`, `worker.compute` and `solver.*` spans, carrying the
-    /// trace id of the request that submitted each decision.
-    #[allow(clippy::too_many_arguments)]
-    pub fn with_policy_traced(
-        workers: usize,
-        queue_capacity: usize,
-        cache_capacity: usize,
-        auditor: Auditor,
-        cube: Cube,
-        metrics: Arc<Metrics>,
-        policy: QueuePolicy,
-        fault_hook: Option<FaultHook>,
-        tracer: Arc<Recorder>,
-    ) -> DecisionPool {
         Self::with_admission(
             workers,
             queue_capacity,
@@ -288,13 +259,16 @@ impl DecisionPool {
             metrics,
             policy,
             fault_hook,
-            tracer,
+            Arc::new(Recorder::disabled()),
             AdmissionOptions::default(),
         )
     }
 
-    /// [`DecisionPool::with_policy_traced`] with explicit
-    /// [`AdmissionOptions`] for the adaptive concurrency limiter.
+    /// [`DecisionPool::with_policy`] sharing a span [`Recorder`] with the
+    /// embedder — the pool then emits `cache.lookup`, `dedupe.coalesced`,
+    /// `queue.wait`, `worker.compute` and `solver.*` spans, carrying the
+    /// trace id of the request that submitted each decision — and with
+    /// explicit [`AdmissionOptions`] for the adaptive concurrency limiter.
     #[allow(clippy::too_many_arguments)]
     pub fn with_admission(
         workers: usize,

@@ -1,4 +1,5 @@
-//! Bernstein-coefficient bounds for polynomials over boxes.
+//! Bernstein-coefficient bounds for polynomials over boxes — the
+//! reference oracle.
 //!
 //! The branch-and-bound of [`crate::product`] needs a lower bound of the
 //! safety-gap polynomial over a sub-box of `[0,1]ⁿ`. Naive interval
@@ -10,6 +11,12 @@
 //! box corners* (vertex coefficients equal corner values), and the
 //! enclosure tightens quadratically under subdivision. In particular a box
 //! whose only gap zeros sit on its faces certifies in one evaluation.
+//!
+//! The solver carries the coefficients incrementally
+//! (`epi_poly::subdivision`); this module computes them directly —
+//! [`DenseTensor::restrict_to_box`] then
+//! [`DenseTensor::bernstein_coefficients`] — which is the oracle the
+//! incremental kernels are tested against.
 //!
 //! The gap polynomial has per-variable degree ≤ 2, so a box carries a dense
 //! `3ⁿ` coefficient tensor — small for the `n ≤ 12` regime of the solver.
@@ -155,67 +162,25 @@ impl DenseTensor {
     }
 }
 
-/// The Bernstein range bound of a degree-≤2 tensor polynomial over a box,
-/// with the minimizing coefficient's location.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct BernsteinBound {
-    /// Lower bound of the polynomial on the box.
-    pub min: f64,
-    /// Upper bound of the polynomial on the box.
-    pub max: f64,
-    /// `true` when the minimizing coefficient sits at a *vertex* index
-    /// (every component 0 or 2), in which case `min` equals the exact value
-    /// at the corresponding box corner.
-    pub min_at_vertex: bool,
-    /// The corner realizing the minimum when `min_at_vertex` (component
-    /// `i` is `false` for the low endpoint, `true` for the high one).
-    pub vertex: u32,
-}
-
-/// Computes the Bernstein bound of `tensor` over `∏ [lo[i], hi[i]]`.
-pub fn bernstein_bound(tensor: &DenseTensor, lo: &[f64], hi: &[f64]) -> BernsteinBound {
-    let restricted = tensor.restrict_to_box(lo, hi);
-    let b = restricted.bernstein_coefficients();
-    let n = tensor.arity();
-    let mut min = f64::INFINITY;
-    let mut max = f64::NEG_INFINITY;
-    let mut min_idx = 0usize;
-    for (idx, &c) in b.iter().enumerate() {
-        if c < min {
-            min = c;
-            min_idx = idx;
-        }
-        if c > max {
-            max = c;
-        }
-    }
-    let mut min_at_vertex = true;
-    let mut vertex = 0u32;
-    let mut rest = min_idx;
-    for i in 0..n {
-        let e = rest % 3;
-        rest /= 3;
-        match e {
-            0 => {}
-            2 => vertex |= 1 << i,
-            _ => {
-                min_at_vertex = false;
-            }
-        }
-    }
-    BernsteinBound {
-        min,
-        max,
-        min_at_vertex,
-        vertex,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use epi_poly::indicator;
     use rand::{Rng, SeedableRng};
+
+    /// `(min, max, argmin)` of the Bernstein coefficients of `t` over
+    /// `∏ [lo[i], hi[i]]`.
+    fn bernstein_range(t: &DenseTensor, lo: &[f64], hi: &[f64]) -> (f64, f64, usize) {
+        let b = t.restrict_to_box(lo, hi).bernstein_coefficients();
+        let mut argmin = 0;
+        for (idx, &c) in b.iter().enumerate() {
+            if c < b[argmin] {
+                argmin = idx;
+            }
+        }
+        let max = b.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        (b[argmin], max, argmin)
+    }
 
     #[test]
     fn tensor_roundtrip_eval() {
@@ -257,31 +222,31 @@ mod tests {
             let t = DenseTensor::from_polynomial(&gap);
             let lo = [rng.gen_range(0.0..0.5), rng.gen_range(0.0..0.5), 0.0];
             let hi = [lo[0] + 0.4, lo[1] + 0.4, 1.0];
-            let bound = bernstein_bound(&t, &lo, &hi);
+            let (min, max, _) = bernstein_range(&t, &lo, &hi);
             for _ in 0..100 {
                 let p: Vec<f64> = (0..3).map(|i| rng.gen_range(lo[i]..hi[i])).collect();
                 let v = gap.eval_f64(&p);
-                assert!(v >= bound.min - 1e-9 && v <= bound.max + 1e-9);
+                assert!(v >= min - 1e-9 && v <= max + 1e-9);
             }
         }
     }
 
     #[test]
     fn vertex_minimum_is_exact_corner_value() {
-        // f = x·y: minimum on [0,1]² is 0 at corners; Bernstein must report
-        // a vertex minimum equal to the corner value.
+        // f = x·y: minimum on [0,1]² is 0 at corners; the minimizing
+        // Bernstein coefficient must sit at a vertex index (every base-3
+        // digit 0 or 2) and equal the corner value.
         let x = Polynomial::<f64>::var(2, 0);
         let y = Polynomial::<f64>::var(2, 1);
         let f = x.mul(&y);
         let t = DenseTensor::from_polynomial(&f);
-        let bound = bernstein_bound(&t, &[0.0, 0.0], &[1.0, 1.0]);
-        assert!(bound.min_at_vertex);
-        assert_eq!(bound.min, 0.0);
-        // And on a shifted box the corner value is recovered.
-        let bound = bernstein_bound(&t, &[0.25, 0.5], &[0.75, 1.0]);
-        assert!(bound.min_at_vertex);
-        assert!((bound.min - 0.25 * 0.5).abs() < 1e-12);
-        assert_eq!(bound.vertex, 0b00);
+        let (min, _, argmin) = bernstein_range(&t, &[0.0, 0.0], &[1.0, 1.0]);
+        assert!([argmin % 3, argmin / 3].iter().all(|&d| d != 1));
+        assert_eq!(min, 0.0);
+        // And on a shifted box the low corner's value is recovered.
+        let (min, _, argmin) = bernstein_range(&t, &[0.25, 0.5], &[0.75, 1.0]);
+        assert_eq!(argmin, 0, "minimum at the (lo, lo) vertex");
+        assert!((min - 0.25 * 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -293,8 +258,8 @@ mod tests {
         let b = epi_core::WorldSet::from_indices(4, [0, 1, 3]);
         let gap = indicator::safety_gap_polynomial::<f64>(2, &a, &b);
         let t = DenseTensor::from_polynomial(&gap);
-        let bound = bernstein_bound(&t, &[0.0, 0.0], &[1.0, 1.0]);
-        assert!(bound.min >= -1e-12, "Bernstein min {}", bound.min);
+        let (min, _, _) = bernstein_range(&t, &[0.0, 0.0], &[1.0, 1.0]);
+        assert!(min >= -1e-12, "Bernstein min {min}");
     }
 
     #[test]
@@ -303,9 +268,9 @@ mod tests {
         // f = (x − ½)²: min 0 at the interior point ½.
         let f = x.sub(&Polynomial::constant(1, 0.5)).pow(2);
         let t = DenseTensor::from_polynomial(&f);
-        let whole = bernstein_bound(&t, &[0.0], &[1.0]);
-        let half = bernstein_bound(&t, &[0.25], &[0.75]);
-        assert!(half.min >= whole.min);
-        assert!(half.max <= whole.max + 1e-12);
+        let whole = bernstein_range(&t, &[0.0], &[1.0]);
+        let half = bernstein_range(&t, &[0.25], &[0.75]);
+        assert!(half.0 >= whole.0);
+        assert!(half.1 <= whole.1 + 1e-12);
     }
 }

@@ -110,18 +110,6 @@ pub struct ProductSolverOptions {
     /// Worker threads for the box search; `0` means the [`epi_par`]
     /// default (`EPI_PAR_THREADS` or the machine's parallelism).
     pub threads: usize,
-    /// Minimum frontier-wave size worth fanning out across workers; `0`
-    /// means auto (`EPI_PAR_MIN_WAVE`, else a machine-derived default
-    /// that never fans out on a single-core host). Waves below the
-    /// threshold run inline, so thread-spawn overhead can't make the
-    /// parallel solver slower than the sequential one.
-    pub min_wave: usize,
-    /// Cache-block (tile) length for the Bernstein kernel sweeps; `0`
-    /// means the compile-time [`subdivision::auto_tile`] table. Values
-    /// round down to a power of 3; below 27 or at least the tensor
-    /// length runs untiled. Results are bit-identical at any block size,
-    /// so this is a throughput knob only.
-    pub kernel_block: usize,
 }
 
 impl Default for ProductSolverOptions {
@@ -132,8 +120,6 @@ impl Default for ProductSolverOptions {
             coordinate_ascent: true,
             sos_fallback: true,
             threads: 0,
-            min_wave: 0,
-            kernel_block: 0,
         }
     }
 }
@@ -485,12 +471,7 @@ fn evaluate_wave_chunk(
             break;
         }
         let node = &boxes[i as usize];
-        let (mid, dim) = subdivision::midpoint_and_split_axis_tiled(
-            &node.bern,
-            n,
-            &mut scratch,
-            options.kernel_block,
-        );
+        let (mid, dim) = subdivision::midpoint_and_split_axis(&node.bern, n, &mut scratch);
         mids.push(mid);
         dims.push(dim as u32);
     }
@@ -559,12 +540,7 @@ fn evaluate_wave_chunk_fused(
                 stopped = Some(reason);
                 break;
             }
-            let (mid, dim) = subdivision::midpoint_and_split_axis_tiled(
-                &node.bern,
-                n,
-                &mut scratch,
-                options.kernel_block,
-            );
+            let (mid, dim) = subdivision::midpoint_and_split_axis(&node.bern, n, &mut scratch);
             fates.push(assemble_survivor(ctx, node, mid, dim));
         } else {
             fates.push(BoxFate::Pruned);
@@ -611,7 +587,7 @@ fn wave_search(
     let options = &ctx.options;
     let sos_checkpoint = options.max_boxes.min(512);
     let mut sos_tried = false;
-    let policy = ChunkPolicy::resolve(options.min_wave, pool.threads());
+    let policy = ChunkPolicy::resolve(pool.threads());
     let tensor_bytes = std::mem::size_of_val(&ctx.root_bern[..]);
     let mut frontier: Vec<BoxNode> = vec![root_node(ctx)];
     let mut next: Vec<BoxNode> = Vec::new();

@@ -4,11 +4,9 @@
 //!
 //! * thread count — identical verdicts and statistics at 1 thread and
 //!   at 8;
-//! * `min_wave` interaction — a wave smaller than `min_wave` stays on
-//!   the calling thread but still flows through the batched kernel
-//!   sweeps (single chunk), so the chunk policy is a placement decision
-//!   only;
-//! * kernel tiling — any `kernel_block` gives the same verdicts;
+//! * inline waves — a wave that stays on the calling thread still
+//!   flows through the batched kernel sweeps (single chunk), so the
+//!   chunk policy is a placement decision only;
 //! * instruction sets — with the `simd` feature, scalar and vector
 //!   kernels produce byte-identical verdicts in one process (the
 //!   kernels are bit-identical, so everything downstream must be too).
@@ -95,38 +93,15 @@ fn verdicts_are_identical_at_1_and_8_threads() {
 
 #[test]
 fn small_waves_still_take_the_batched_kernel_path() {
-    // A `min_wave` far above any frontier keeps every wave on the
-    // calling thread; the batched sweeps must still run (single chunk).
-    for threads in [1usize, 8] {
-        let before = epi_par::stats().batch_sweeps;
-        let forced_inline = run_all(ProductSolverOptions {
-            threads,
-            min_wave: usize::MAX,
-            ..base_options()
-        });
-        let sweeps = epi_par::stats().batch_sweeps - before;
-        assert!(
-            sweeps > 0,
-            "threads = {threads}: inline waves bypassed the batched kernels"
-        );
-        let reference = run_all(ProductSolverOptions {
-            threads,
-            ..base_options()
-        });
-        assert_eq!(forced_inline, reference, "threads = {threads}");
-    }
-}
-
-#[test]
-fn kernel_block_override_never_changes_verdicts() {
-    let reference = run_all(base_options());
-    for kernel_block in [27usize, 243, 6_561] {
-        let tiled = run_all(ProductSolverOptions {
-            kernel_block,
-            ..base_options()
-        });
-        assert_eq!(tiled, reference, "kernel_block = {kernel_block}");
-    }
+    // One worker keeps every wave on the calling thread; the batched
+    // sweeps must still run (single chunk).
+    let before = epi_par::stats().batch_sweeps;
+    run_all(ProductSolverOptions {
+        threads: 1,
+        ..base_options()
+    });
+    let sweeps = epi_par::stats().batch_sweeps - before;
+    assert!(sweeps > 0, "inline waves bypassed the batched kernels");
 }
 
 #[test]
